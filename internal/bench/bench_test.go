@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/machine"
 )
 
 // collectPuzzle gathers a one-benchmark dataset once (small but complete:
@@ -235,5 +237,24 @@ func TestCollectParallelPropagatesError(t *testing.T) {
 	}
 	if _, err := Collect(o); err == nil {
 		t.Error("PESweep without PEs accepted by parallel path")
+	}
+}
+
+// TestLiveMachineAllocation guards the demand-paged memory: building a
+// data-carrying machine over the full benchmark layout (9.4M words)
+// allocates only the page table, bus and caches, not the address space.
+func TestLiveMachineAllocation(t *testing.T) {
+	cfg := machine.Config{PEs: 8, Layout: Layout(), Cache: BaseCache(cache.Options{}), Timing: bus.DefaultTiming()}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := machine.New(cfg)
+	runtime.ReadMemStats(&after)
+	if m.Memory().StatsOnly() {
+		t.Fatal("live machine has a stats-only memory")
+	}
+	const limit = 1 << 20
+	if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+		t.Errorf("machine.New over a %d-word layout allocated %d bytes, want under %d", Layout().TotalWords(), n, limit)
 	}
 }

@@ -298,15 +298,15 @@ type Bus struct {
 	// bounds is the memory's area map, copied in so account's
 	// per-transaction area attribution is a static, inlinable call
 	// instead of an indirect one through a func value.
-	bounds mem.Bounds
-	snoopers   []Snooper
-	lockUnits  []LockUnit
-	stats      Stats
+	bounds    mem.Bounds
+	snoopers  []Snooper
+	lockUnits []LockUnit
+	stats     Stats
 
 	// Presence filters and the reusable fetch buffer (see type comment).
-	noFilters  bool
-	poison     bool
-	statsOnly  bool
+	noFilters bool
+	poison    bool
+	statsOnly bool
 	// presence is the block-residency filter, paged: page p covers
 	// blocks [p<<presencePageShift, (p+1)<<presencePageShift) and is
 	// allocated on the first install within it. A nil page means no
@@ -317,10 +317,10 @@ type Bus struct {
 	presence       [][]uint64
 	presenceBlocks int
 	blockShift     uint
-	lockCounts []uint32
-	totalLocks int
-	allMask    uint64
-	blockBuf   []word.Word
+	lockCounts     []uint32
+	totalLocks     int
+	allMask        uint64
+	blockBuf       []word.Word
 
 	// cycleTab and memBusyTab are Timing.Cycles and the memory-module
 	// occupancy precomputed per pattern at construction: account runs on
@@ -386,19 +386,19 @@ func New(cfg Config, memory *mem.Memory) *Bus {
 		}
 	}
 	return &Bus{
-		timing:     cfg.Timing,
-		blockWords: cfg.BlockWords,
-		memory:     memory,
-		bounds:     memory.Bounds(),
-		noFilters:  cfg.DisableFilters,
-		poison:     cfg.PoisonFetchData,
-		statsOnly:  cfg.StatsOnly,
+		timing:         cfg.Timing,
+		blockWords:     cfg.BlockWords,
+		memory:         memory,
+		bounds:         memory.Bounds(),
+		noFilters:      cfg.DisableFilters,
+		poison:         cfg.PoisonFetchData,
+		statsOnly:      cfg.StatsOnly,
 		presence:       make([][]uint64, (blocks+presencePageLen-1)/presencePageLen),
 		presenceBlocks: blocks,
 		blockShift:     shift,
-		blockBuf:   make([]word.Word, cfg.BlockWords),
-		cycleTab:   cycleTab,
-		memBusyTab: memBusyTab,
+		blockBuf:       make([]word.Word, cfg.BlockWords),
+		cycleTab:       cycleTab,
+		memBusyTab:     memBusyTab,
 	}
 }
 

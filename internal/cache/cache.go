@@ -26,9 +26,9 @@ import (
 // A Cache is not safe for concurrent use; the machine steps PEs
 // deterministically and the bus serializes all coherence activity.
 type Cache struct {
-	cfg    Config
-	pe     int
-	bus    *bus.Bus
+	cfg Config
+	pe  int
+	bus *bus.Bus
 	// bounds is the shared memory's area map, copied in so the
 	// per-reference area classification is a static, inlinable call
 	// instead of an indirect one through a func value.
@@ -67,18 +67,18 @@ type Cache struct {
 	// dropped when a count reaches updLimit.
 	updCounts []uint8
 
-	ways     int
-	bw       int // block words (frame stride in the data plane)
-	setMask  word.Addr
-	offMask  word.Addr
-	blockW   word.Addr
+	ways    int
+	bw      int // block words (frame stride in the data plane)
+	setMask word.Addr
+	offMask word.Addr
+	blockW  word.Addr
 	// blockShift is log2(blockW): the set-index computation runs on
 	// every reference, and a shift beats the divide the compiler would
 	// otherwise emit for the variable block size.
 	blockShift uint
-	lruClock uint64
-	dir      *lockDir
-	stats    Stats
+	lruClock   uint64
+	dir        *lockDir
+	stats      Stats
 
 	// Busy-wait state: set when an LR received the LH response; cleared
 	// by the matching UL broadcast. While set the PE spins without bus
@@ -116,18 +116,18 @@ func New(cfg Config, pe int, b *bus.Bus) *Cache {
 		data = make([]word.Word, frames*cfg.BlockWords)
 	}
 	c := &Cache{
-		cfg:     cfg,
-		pe:      pe,
-		bus:     b,
-		bounds:  b.Memory().Bounds(),
-		states:  make([]State, frames),
-		bases:   make([]word.Addr, frames),
-		tags:    make([]uint64, frames),
-		lru:     make([]uint64, frames),
-		data:    data,
-		noData:  cfg.StatsOnly,
-		ways:    cfg.Ways,
-		bw:      cfg.BlockWords,
+		cfg:        cfg,
+		pe:         pe,
+		bus:        b,
+		bounds:     b.Memory().Bounds(),
+		states:     make([]State, frames),
+		bases:      make([]word.Addr, frames),
+		tags:       make([]uint64, frames),
+		lru:        make([]uint64, frames),
+		data:       data,
+		noData:     cfg.StatsOnly,
+		ways:       cfg.Ways,
+		bw:         cfg.BlockWords,
 		setMask:    word.Addr(sets - 1),
 		offMask:    word.Addr(cfg.BlockWords - 1),
 		blockW:     word.Addr(cfg.BlockWords),

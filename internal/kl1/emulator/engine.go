@@ -48,6 +48,9 @@ type Engine struct {
 	// candidates are the suspension-candidate variable cells collected
 	// during the passive part of the current reduction.
 	candidates []word.Addr
+	// recBuf is recordRead's scratch: the words of the record being
+	// dequeued, reused on every dequeue.
+	recBuf []word.Word
 
 	// Suspension in progress (multi-step because hooking each variable
 	// takes its lock, which can busy-wait).

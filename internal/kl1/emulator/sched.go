@@ -64,8 +64,15 @@ func (e *Engine) spawnGoal(procIdx, arity, base int) bool {
 // skipStatus omits the status word (offset 2), which the dequeue path
 // does not need; the purge behaviour is unaffected because the skipped
 // word is never a block's last word here.
+//
+// The returned words live in the engine's scratch slice and are valid
+// only until the next recordRead: callers consume them before reading
+// another record. A skipped status word holds no meaningful value.
 func (e *Engine) recordRead(rec word.Addr, n int, skipStatus bool) []word.Word {
-	out := make([]word.Word, n)
+	if cap(e.recBuf) < n {
+		e.recBuf = make([]word.Word, n)
+	}
+	out := e.recBuf[:n]
 	blockMask := word.Addr(3) // ER/RP semantics are defined against the
 	// four-word block of the paper's base cache; the cache itself
 	// re-checks block boundaries, so a different simulated block size

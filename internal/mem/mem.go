@@ -1,5 +1,5 @@
 // Package mem models the shared global memory of the simulated PIM
-// cluster: a flat word-addressed space partitioned into the five KL1
+// cluster: a word-addressed space partitioned into the five KL1
 // storage areas (instruction, heap, goal, suspension, communication), the
 // shared-memory module backing it, and the allocators the KL1 runtime
 // uses inside those areas (bump allocation for the heap, free lists for
@@ -117,17 +117,37 @@ func (b Bounds) AreaOf(a word.Addr) Area {
 // (the eight-cycle access latency, bus occupancy) is modelled by the bus
 // package. Memory is not safe for concurrent use: the machine serializes
 // all accesses, mirroring the single shared bus.
+//
+// The store is demand-paged: a table of fixed pageWords-word pages, each
+// allocated on its first write. A word on a page never written reads as
+// zero, exactly as it would in a zeroed flat store, so paging is
+// invisible to the simulation. A KL1 run touches a small fraction of
+// the address space the default layouts reserve, so a machine costs
+// memory in proportion to what its program writes, not to its layout.
 type Memory struct {
-	words  []word.Word
+	pages  []*page // nil for a stats-only memory
 	size   int
 	bounds Bounds
 }
 
-// New allocates a memory for the layout.
+// pageShift fixes the page size at 4096 words (32 KB). It is a constant,
+// not a knob: only allocation granularity depends on it, never a
+// simulated statistic.
+const (
+	pageShift = 12
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+)
+
+type page [pageWords]word.Word
+
+// New builds an all-zero memory for the layout. No page is allocated
+// until it is first written.
 func New(l Layout) *Memory {
+	size := l.TotalWords()
 	return &Memory{
-		words:  make([]word.Word, l.TotalWords()),
-		size:   l.TotalWords(),
+		pages:  make([]*page, (size+pageWords-1)>>pageShift),
+		size:   size,
 		bounds: l.Bounds(),
 	}
 }
@@ -144,7 +164,7 @@ func NewStatsOnly(l Layout) *Memory {
 }
 
 // StatsOnly reports whether this memory carries no word store.
-func (m *Memory) StatsOnly() bool { return m.words == nil && m.size > 0 }
+func (m *Memory) StatsOnly() bool { return m.pages == nil && m.size > 0 }
 
 // Bounds returns the area map.
 func (m *Memory) Bounds() Bounds { return m.bounds }
@@ -155,52 +175,121 @@ func (m *Memory) AreaOf(a word.Addr) Area { return m.bounds.AreaOf(a) }
 // Size reports the total number of words.
 func (m *Memory) Size() int { return m.size }
 
-func (m *Memory) checkData() {
-	if m.words == nil && m.size > 0 {
+// check panics unless [a, a+n) is a data access inside the memory. The
+// explicit bound matters: the last page can extend past Size.
+func (m *Memory) check(a word.Addr, n int) {
+	if m.pages == nil || int(a)+n > m.size {
+		m.badAccess(a, n)
+	}
+}
+
+func (m *Memory) badAccess(a word.Addr, n int) {
+	if m.StatsOnly() {
 		panic("mem: data access on a stats-only memory (missing data-plane gate)")
 	}
+	panic(fmt.Sprintf("mem: access to words [%d, %d) of a %d-word memory", a, int(a)+n, m.size))
+}
+
+// writable returns page i, allocating it on first use.
+func (m *Memory) writable(i word.Addr) *page {
+	p := m.pages[i]
+	if p == nil {
+		p = new(page)
+		m.pages[i] = p
+	}
+	return p
 }
 
 // Read returns the word at a. It panics on out-of-range addresses: the
 // simulated machine's address arithmetic is supposed to be correct, so a
 // wild address is a simulator bug.
 func (m *Memory) Read(a word.Addr) word.Word {
-	m.checkData()
-	return m.words[a]
+	m.check(a, 1)
+	if p := m.pages[a>>pageShift]; p != nil {
+		return p[a&pageMask]
+	}
+	return 0
 }
 
 // Write stores w at a.
 func (m *Memory) Write(a word.Addr, w word.Word) {
-	m.checkData()
-	m.words[a] = w
+	m.check(a, 1)
+	m.writable(a >> pageShift)[a&pageMask] = w
 }
 
-// ReadBlock copies the block of n words starting at base into dst.
+// ReadBlock copies the block of len(dst) words starting at base into dst.
 func (m *Memory) ReadBlock(base word.Addr, dst []word.Word) {
-	m.checkData()
-	copy(dst, m.words[base:int(base)+len(dst)])
+	m.check(base, len(dst))
+	for len(dst) > 0 {
+		off := int(base & pageMask)
+		n := min(len(dst), pageWords-off)
+		if p := m.pages[base>>pageShift]; p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		base += word.Addr(n)
+	}
 }
 
 // WriteBlock stores src at base.
 func (m *Memory) WriteBlock(base word.Addr, src []word.Word) {
-	m.checkData()
-	copy(m.words[base:int(base)+len(src)], src)
+	m.check(base, len(src))
+	for len(src) > 0 {
+		off := int(base & pageMask)
+		n := copy(m.writable(base >> pageShift)[off:], src)
+		src = src[n:]
+		base += word.Addr(n)
+	}
 }
 
-// Snapshot returns a copy of the full word store, for machine-level
-// checkpoints.
+// Snapshot returns a copy of the full word store as one dense slice (nil
+// for a stats-only memory), for machine-level checkpoints. The dense form
+// keeps the checkpoint format independent of the page size.
 func (m *Memory) Snapshot() []word.Word {
-	return append([]word.Word(nil), m.words...)
+	if m.pages == nil {
+		return nil
+	}
+	words := make([]word.Word, m.size)
+	for i, p := range m.pages {
+		if p != nil {
+			copy(words[i<<pageShift:], p[:])
+		}
+	}
+	return words
 }
 
 // Restore overwrites the word store from a snapshot of a memory with the
-// same layout.
+// same layout. Pages that are all zero in the snapshot are left
+// unallocated, so a restored memory is as sparse as its contents.
 func (m *Memory) Restore(words []word.Word) error {
-	if len(words) != len(m.words) {
-		return fmt.Errorf("mem: snapshot has %d words, memory has %d", len(words), len(m.words))
+	want := m.size
+	if m.pages == nil {
+		want = 0
 	}
-	copy(m.words, words)
+	if len(words) != want {
+		return fmt.Errorf("mem: snapshot has %d words, memory has %d", len(words), want)
+	}
+	for i := range m.pages {
+		src := words[i<<pageShift:]
+		src = src[:min(len(src), pageWords)]
+		if allZero(src) {
+			m.pages[i] = nil
+			continue
+		}
+		copy(m.writable(word.Addr(i))[:], src)
+	}
 	return nil
+}
+
+func allZero(ws []word.Word) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Accessor is the simulated-memory access interface used by the KL1

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/word"
@@ -128,6 +130,54 @@ func TestReadHugeDeclaredCount(t *testing.T) {
 	raw := append([]byte(nil), base...)
 	binary.LittleEndian.PutUint64(raw[len(magicV2)+24:], 1<<40)
 	readErr(t, "huge count", raw, "truncated")
+}
+
+// TestReadAllocationTracksVerifiedData pins the bound behind that
+// guard on a stream longer than maxPrealloc. Read's slice grows only
+// when it is full of verified references, and at most doubles, never
+// past the declared count. An intact stream therefore allocates under
+// twice its references, and a header declaring 2^40 references over the
+// same body fails with the labeled truncation error after allocating
+// under four times the references that actually arrived.
+func TestReadAllocationTracksVerifiedData(t *testing.T) {
+	tr := &Trace{PEs: 4, Layout: smallTrace().Layout, Refs: make([]Ref, maxPrealloc+maxPrealloc/2)}
+	for i := range tr.Refs {
+		tr.Refs[i] = Ref{PE: uint8(i % 4), Op: cache.Op(i % int(cache.NumOps)), Addr: word.Addr(i % 100)}
+	}
+	raw := encodeTraceV2(t, tr)
+	refsBytes := uint64(len(tr.Refs)) * uint64(unsafe.Sizeof(Ref{}))
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	var got *Trace
+	var err error
+	n := allocated(func() { got, err = Read(bytes.NewReader(raw)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Refs) != len(tr.Refs) {
+		t.Fatalf("Read returned %d refs, want %d", len(got.Refs), len(tr.Refs))
+	}
+	if n > 2*refsBytes {
+		t.Errorf("reading %d refs (%d bytes) allocated %d bytes, want at most twice that", len(tr.Refs), refsBytes, n)
+	}
+
+	huge := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(huge[len(magicV2)+24:], 1<<40)
+	n = allocated(func() { _, err = Read(bytes.NewReader(huge)) })
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("Read of a stream declaring 2^40 refs: err = %v, want a truncation error", err)
+	}
+	if n > 4*refsBytes {
+		t.Errorf("corrupt count: %d verified refs (%d bytes) cost %d bytes of allocation, want at most four times that",
+			len(tr.Refs), refsBytes, n)
+	}
 }
 
 // TestReaderTruncatedMidStream checks both decoders report the cut

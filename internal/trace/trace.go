@@ -418,22 +418,28 @@ const maxPrealloc = 1 << 20
 // Read deserializes a trace written by Write, validating the header and
 // every reference (see NewReader). For streams too large to materialize,
 // use NewReader with Next or ReplayStream instead.
+//
+// References are decoded straight into the result's spare capacity.
+// When it fills, the capacity doubles, never past the header's declared
+// count: each allocation is at most twice the references verified so
+// far (or maxPrealloc), whatever the header claims.
 func Read(r io.Reader) (*Trace, error) {
 	d, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	capHint := d.Len()
-	if capHint > maxPrealloc {
-		capHint = maxPrealloc
-	}
-	t := &Trace{PEs: d.PEs(), Layout: d.Layout(), Refs: make([]Ref, 0, capHint)}
-	buf := make([]Ref, refsPerChunk)
+	want := d.Len()
+	refs := make([]Ref, 0, min(want, maxPrealloc))
 	for {
-		n, err := d.Next(buf)
-		t.Refs = append(t.Refs, buf[:n]...)
+		if len(refs) == cap(refs) {
+			grown := make([]Ref, len(refs), min(want, 2*uint64(cap(refs))))
+			copy(grown, refs)
+			refs = grown
+		}
+		n, err := d.Next(refs[len(refs):cap(refs)])
+		refs = refs[:len(refs)+n]
 		if err == io.EOF {
-			return t, nil
+			return &Trace{PEs: d.PEs(), Layout: d.Layout(), Refs: refs}, nil
 		}
 		if err != nil {
 			return nil, err
