@@ -143,7 +143,6 @@ func main() {
 func writeManifest(man *obs.Manifest, path string, d *bench.Data, o bench.Options, ph *obs.Phases, reg *obs.Registry, profiles map[string]string) {
 	ccfg := bench.BaseCache(cache.OptionsAll())
 	ccfg.StatsOnly = o.StatsOnly
-	ccfg.DisableBusFilters = o.DisableBusFilters
 	man.Config = obs.NewRunConfig(o.PEs, ccfg, bus.DefaultTiming(), "all", "bench", 0)
 	var totalRefs uint64
 	for _, bd := range d.Benches {

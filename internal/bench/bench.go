@@ -61,11 +61,6 @@ type Options struct {
 	// share only read-only traces, and results are assembled by job
 	// identity, never by completion order.
 	Jobs int
-	// DisableBusFilters runs every simulation with the bus presence
-	// filters off (full broadcast polling). Results are identical either
-	// way — the flag exists for the filter-equivalence oracle and as the
-	// benchmark baseline.
-	DisableBusFilters bool
 	// WarmedSweeps lets replay jobs with identical (configuration,
 	// timing) share a warmed machine checkpoint instead of each replaying
 	// the common prefix — see WarmCache. Tables are byte-identical with
@@ -165,13 +160,6 @@ func Layout() mem.Layout {
 func BaseCache(opts cache.Options) cache.Config {
 	cfg := cache.DefaultConfig()
 	cfg.Options = opts
-	return cfg
-}
-
-// baseCache is BaseCache with the options' simulator knobs applied.
-func (o Options) baseCache(opts cache.Options) cache.Config {
-	cfg := BaseCache(opts)
-	cfg.DisableBusFilters = o.DisableBusFilters
 	return cfg
 }
 
@@ -291,23 +279,6 @@ func ReplayConfigProbed(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, s
 		ports[i] = m.Port(i)
 	}
 	if err := trace.Replay(tr, ports); err != nil {
-		return bus.Stats{}, cache.Stats{}, err
-	}
-	return m.BusStats(), m.CacheStats(), nil
-}
-
-// ReplayPacked replays a pre-decoded stream (trace.Pack) against a cache
-// configuration and bus timing. Combined with a stats-only configuration
-// this is the fastest replay path: the loop walks a flat word stream with
-// the area class pre-resolved and never touches a data plane.
-func ReplayPacked(p *trace.Packed, ccfg cache.Config, timing bus.Timing) (bus.Stats, cache.Stats, error) {
-	mcfg := machine.Config{PEs: p.PEs, Layout: p.Layout, Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	caches := make([]*cache.Cache, p.PEs)
-	for i := range caches {
-		caches[i] = m.Cache(i)
-	}
-	if err := p.Replay(caches); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
 	return m.BusStats(), m.CacheStats(), nil
@@ -496,7 +467,7 @@ func collectSerial(o Options) (*Data, error) {
 			}
 			progress("live run on %d PEs (scale %d)", pes, scale)
 			record := pes == o.PEs
-			rd, t, err := RunLive(b, scale, pes, o.baseCache(cache.OptionsAll()), record)
+			rd, t, err := RunLive(b, scale, pes, BaseCache(cache.OptionsAll()), record)
 			if err != nil {
 				return nil, err
 			}
@@ -519,7 +490,7 @@ func collectSerial(o Options) (*Data, error) {
 				return nil, err
 			}
 			progress("replay %s (%d refs)", v.Name, tr.Len())
-			bs, cs, err := rep.Replay(tr, o.baseCache(v.Opts), bus.DefaultTiming())
+			bs, cs, err := rep.Replay(tr, BaseCache(v.Opts), bus.DefaultTiming())
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, v.Name, err)
 			}
@@ -533,7 +504,7 @@ func collectSerial(o Options) (*Data, error) {
 					return nil, err
 				}
 				progress("replay block=%d", bw)
-				cfg := o.baseCache(cache.OptionsAll())
+				cfg := BaseCache(cache.OptionsAll())
 				cfg.BlockWords = bw
 				bs, cs, err := rep.Replay(tr, cfg, bus.DefaultTiming())
 				if err != nil {
@@ -550,7 +521,7 @@ func collectSerial(o Options) (*Data, error) {
 					return nil, err
 				}
 				progress("replay capacity=%d", size)
-				cfg := o.baseCache(cache.OptionsAll())
+				cfg := BaseCache(cache.OptionsAll())
 				cfg.SizeWords = size
 				bs, cs, err := rep.Replay(tr, cfg, bus.DefaultTiming())
 				if err != nil {
@@ -567,7 +538,7 @@ func collectSerial(o Options) (*Data, error) {
 					return nil, err
 				}
 				progress("replay ways=%d", ways)
-				cfg := o.baseCache(cache.OptionsAll())
+				cfg := BaseCache(cache.OptionsAll())
 				cfg.Ways = ways
 				bs, cs, err := rep.Replay(tr, cfg, bus.DefaultTiming())
 				if err != nil {
@@ -579,7 +550,7 @@ func collectSerial(o Options) (*Data, error) {
 			}
 			// Two-word bus (Section 4.4).
 			progress("replay two-word bus")
-			w2, _, err := rep.Replay(tr, o.baseCache(cache.OptionsAll()),
+			w2, _, err := rep.Replay(tr, BaseCache(cache.OptionsAll()),
 				bus.Timing{MemCycles: 8, WidthWords: 2})
 			if err != nil {
 				return nil, err
@@ -587,7 +558,7 @@ func collectSerial(o Options) (*Data, error) {
 			bd.Width2 = w2
 			// Illinois baseline (Section 3.1).
 			progress("replay Illinois")
-			ill := o.baseCache(cache.OptionsNone())
+			ill := BaseCache(cache.OptionsNone())
 			ill.Protocol = cache.ProtocolIllinois
 			ibs, _, err := rep.Replay(tr, ill, bus.DefaultTiming())
 			if err != nil {
@@ -596,7 +567,7 @@ func collectSerial(o Options) (*Data, error) {
 			bd.Illinois = ibs
 			// Write-through baseline (Section 3 premise).
 			progress("replay write-through")
-			wt := o.baseCache(cache.OptionsNone())
+			wt := BaseCache(cache.OptionsNone())
 			wt.Protocol = cache.ProtocolWriteThrough
 			wbs, _, err := rep.Replay(tr, wt, bus.DefaultTiming())
 			if err != nil {
@@ -608,7 +579,7 @@ func collectSerial(o Options) (*Data, error) {
 			bd.AltBus = make([]ProtocolStats, len(altProtocols()))
 			for i, ap := range altProtocols() {
 				progress("replay %s", ap)
-				acfg := o.baseCache(cache.OptionsNone())
+				acfg := BaseCache(cache.OptionsNone())
 				acfg.Protocol = ap
 				abs, _, err := rep.Replay(tr, acfg, bus.DefaultTiming())
 				if err != nil {
@@ -630,7 +601,6 @@ func mergeDefaults(o Options) Options {
 	d.Benchmarks = o.Benchmarks
 	d.Progress = o.Progress
 	d.Jobs = o.Jobs
-	d.DisableBusFilters = o.DisableBusFilters
 	d.WarmedSweeps = o.WarmedSweeps
 	d.StatsOnly = o.StatsOnly
 	d.Phases = o.Phases

@@ -5,6 +5,9 @@ import (
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/kl1/word"
+	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/trace"
 
 	"pimcache/internal/bench/programs"
@@ -15,22 +18,74 @@ import (
 // statistics.
 var equivScales = map[string]int{"Tri": 6, "Semi": 64, "Puzzle": 2, "Pascal": 3}
 
-// filterCfg returns the base cache config with the bus filters toggled.
-func filterCfg(opts cache.Options, disable bool) cache.Config {
-	cfg := BaseCache(opts)
-	cfg.DisableBusFilters = disable
-	return cfg
+// checkedReplay replays tr under ccfg one reference at a time and
+// checks the bus presence filters against ground truth after each:
+// the touched block's holder mask must equal a scan of every cache,
+// and every PE's lock count must equal its lock directory. A final
+// sweep covers blocks that left a cache as conflict victims.
+func checkedReplay(t *testing.T, tr *trace.Trace, ccfg cache.Config) (bus.Stats, cache.Stats) {
+	t.Helper()
+	m := machine.New(machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: bus.DefaultTiming()})
+	ports := make([]mem.Accessor, tr.PEs)
+	for i := range ports {
+		ports[i] = m.Port(i)
+	}
+	cr, err := trace.NewChunkReplayer(tr.PEs, ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.Bus()
+	touched := map[word.Addr]struct{}{}
+	for i, ref := range tr.Refs {
+		if err := cr.Replay(tr.Refs[i:i+1], i); err != nil {
+			t.Fatal(err)
+		}
+		touched[ref.Addr&^word.Addr(ccfg.BlockWords-1)] = struct{}{}
+		if got, want := b.HolderMask(ref.Addr), b.ScanHolders(ref.Addr); got != want {
+			t.Fatalf("ref %d (%v %#x): HolderMask = %b, ScanHolders = %b", i, ref.Op, ref.Addr, got, want)
+		}
+		total := 0
+		for pe := 0; pe < tr.PEs; pe++ {
+			inUse := m.Cache(pe).LocksInUse()
+			if got := b.LockCount(pe); got != inUse {
+				t.Fatalf("ref %d: PE %d lock count %d, directory holds %d", i, pe, got, inUse)
+			}
+			total += inUse
+		}
+		if got := b.TotalLockCount(); got != total {
+			t.Fatalf("ref %d: total lock count %d, directories hold %d", i, got, total)
+		}
+	}
+	for base := range touched {
+		if got, want := b.HolderMask(base), b.ScanHolders(base); got != want {
+			t.Fatalf("final sweep: HolderMask(%#x) = %b, ScanHolders = %b", base, got, want)
+		}
+	}
+	return m.BusStats(), m.CacheStats()
 }
 
-// TestFilterEquivalence is the presence-filter correctness oracle: for
-// every benchmark program, live runs at 1–16 PEs and trace replays under
-// all three protocols must produce bit-identical bus.Stats and
-// cache.Stats with the filters on and off. Any divergence means a filter
-// skipped a snoop or lock poll that had an observable effect.
+// TestFilterEquivalence is the presence-filter correctness oracle on the
+// benchmark programs: each runs live at 1–16 PEs, and its recorded
+// stream is replayed under all three protocols with the filters checked
+// against ground truth after every reference (checkedReplay). While the
+// holder masks and lock counts are exact, a snoop or lock poll the
+// filters skip would have visited a unit with nothing to report, so
+// filtering cannot change a statistic. The PIM replay must reproduce
+// the live run's statistics, which ties the checked stream to the live
+// machine.
 func TestFilterEquivalence(t *testing.T) {
 	pesList := []int{1, 2, 4, 8, 16}
 	if testing.Short() {
 		pesList = []int{1, 4, 16}
+	}
+	protocols := []struct {
+		name  string
+		opts  cache.Options
+		proto cache.Protocol
+	}{
+		{"pim", cache.OptionsAll(), cache.ProtocolPIM},
+		{"illinois", cache.OptionsNone(), cache.ProtocolIllinois},
+		{"writethrough", cache.OptionsNone(), cache.ProtocolWriteThrough},
 	}
 	for _, b := range programs.All() {
 		b := b
@@ -43,104 +98,26 @@ func TestFilterEquivalence(t *testing.T) {
 		}
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			// Live runs: the machine drives caches directly, exercising
-			// install/evict/purge/snoop notification on every path.
-			recorded := -1
-			var trFiltered *trace.Trace
 			for _, pes := range pesList {
-				record := trFiltered == nil && pes >= 4
-				on, trOn, err := RunLive(b, scale, pes, filterCfg(cache.OptionsAll(), false), record)
+				live, tr, err := RunLive(b, scale, pes, BaseCache(cache.OptionsAll()), true)
 				if err != nil {
-					t.Fatalf("filtered live run at %d PEs: %v", pes, err)
+					t.Fatalf("live run at %d PEs: %v", pes, err)
 				}
-				off, _, err := RunLive(b, scale, pes, filterCfg(cache.OptionsAll(), true), false)
-				if err != nil {
-					t.Fatalf("unfiltered live run at %d PEs: %v", pes, err)
-				}
-				if on.Bus != off.Bus {
-					t.Errorf("%d PEs: bus stats diverge\nfiltered:   %+v\nunfiltered: %+v", pes, on.Bus, off.Bus)
-				}
-				if on.Cache != off.Cache {
-					t.Errorf("%d PEs: cache stats diverge\nfiltered:   %+v\nunfiltered: %+v", pes, on.Cache, off.Cache)
-				}
-				if record {
-					trFiltered = trOn
-					recorded = pes
-				}
-			}
-			if trFiltered == nil {
-				t.Fatal("no trace recorded")
-			}
-			// Replays: the same stream under every protocol, filters
-			// toggled via the cache config only.
-			protocols := []struct {
-				name  string
-				opts  cache.Options
-				proto cache.Protocol
-			}{
-				{"pim", cache.OptionsAll(), cache.ProtocolPIM},
-				{"illinois", cache.OptionsNone(), cache.ProtocolIllinois},
-				{"writethrough", cache.OptionsNone(), cache.ProtocolWriteThrough},
-			}
-			for _, p := range protocols {
-				cfgOn := filterCfg(p.opts, false)
-				cfgOn.Protocol = p.proto
-				cfgOff := filterCfg(p.opts, true)
-				cfgOff.Protocol = p.proto
-				bsOn, csOn, err := ReplayConfig(trFiltered, cfgOn, bus.DefaultTiming())
-				if err != nil {
-					t.Fatalf("%s filtered replay (%d PEs): %v", p.name, recorded, err)
-				}
-				bsOff, csOff, err := ReplayConfig(trFiltered, cfgOff, bus.DefaultTiming())
-				if err != nil {
-					t.Fatalf("%s unfiltered replay: %v", p.name, err)
-				}
-				if bsOn != bsOff {
-					t.Errorf("%s: bus stats diverge\nfiltered:   %+v\nunfiltered: %+v", p.name, bsOn, bsOff)
-				}
-				if csOn != csOff {
-					t.Errorf("%s: cache stats diverge\nfiltered:   %+v\nunfiltered: %+v", p.name, csOn, csOff)
+				for _, p := range protocols {
+					cfg := BaseCache(p.opts)
+					cfg.Protocol = p.proto
+					bs, cs := checkedReplay(t, tr, cfg)
+					if p.proto != cache.ProtocolPIM {
+						continue
+					}
+					if bs != live.Bus {
+						t.Errorf("%d PEs: bus stats diverge\nlive:   %+v\nreplay: %+v", pes, live.Bus, bs)
+					}
+					if cs != live.Cache {
+						t.Errorf("%d PEs: cache stats diverge\nlive:   %+v\nreplay: %+v", pes, live.Cache, cs)
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestFilterEquivalenceRenderAll runs a reduced but structurally complete
-// evaluation — live PE sweep, optimization variants, block/capacity/way
-// sweeps, two-word bus, Illinois and write-through — with the filters on
-// and off, and requires byte-identical rendered output.
-func TestFilterEquivalenceRenderAll(t *testing.T) {
-	old := quickScales["Puzzle"]
-	quickScales["Puzzle"] = 2
-	defer func() { quickScales["Puzzle"] = old }()
-
-	o := Options{
-		Quick:           true,
-		PEs:             4,
-		PESweep:         []int{1, 2, 4},
-		BlockSizes:      []int{2, 4},
-		Capacities:      []int{1 << 10, 4 << 10},
-		Associativities: []int{1, 4},
-		Benchmarks:      []string{"Puzzle"},
-		Jobs:            1,
-	}
-	filtered, err := Collect(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableBusFilters = true
-	unfiltered, err := Collect(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := RenderAll(filtered), RenderAll(unfiltered)
-	if len(want) == 0 {
-		t.Fatal("rendered evaluation is empty")
-	}
-	// The Options line is not part of the rendered tables, so the two
-	// runs must agree byte-for-byte.
-	if got != want {
-		t.Errorf("filtered evaluation differs from unfiltered\n--- filtered ---\n%s\n--- unfiltered ---\n%s", got, want)
 	}
 }

@@ -162,7 +162,7 @@ func submitLiveJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState, 
 		pool.Go(func() error {
 			pw.Printf(st.bench.Name, "live run on %d PEs (scale %d)", pes, st.scale)
 			sp := o.Phases.Start("live/" + st.bench.Name)
-			rd, tr, err := RunLive(st.bench, st.scale, pes, o.baseCache(cache.OptionsAll()), record)
+			rd, tr, err := RunLive(st.bench, st.scale, pes, BaseCache(cache.OptionsAll()), record)
 			sp.End()
 			if err != nil {
 				return err
@@ -204,7 +204,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 	for i, v := range OptVariants {
 		i, v := i, v
 		replay(v.Name, func(tr *trace.Trace) error {
-			bs, cs, err := st.rep.Replay(tr, o.baseCache(v.Opts), bus.DefaultTiming())
+			bs, cs, err := st.rep.Replay(tr, BaseCache(v.Opts), bus.DefaultTiming())
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", name, v.Name, err)
 			}
@@ -218,7 +218,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 	for i, bw := range o.BlockSizes {
 		i, bw := i, bw
 		replay(fmt.Sprintf("block=%d", bw), func(tr *trace.Trace) error {
-			cfg := o.baseCache(cache.OptionsAll())
+			cfg := BaseCache(cache.OptionsAll())
 			cfg.BlockWords = bw
 			bs, cs, err := st.rep.Replay(tr, cfg, bus.DefaultTiming())
 			if err != nil {
@@ -234,7 +234,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 	for i, size := range o.Capacities {
 		i, size := i, size
 		replay(fmt.Sprintf("capacity=%d", size), func(tr *trace.Trace) error {
-			cfg := o.baseCache(cache.OptionsAll())
+			cfg := BaseCache(cache.OptionsAll())
 			cfg.SizeWords = size
 			bs, cs, err := st.rep.Replay(tr, cfg, bus.DefaultTiming())
 			if err != nil {
@@ -250,7 +250,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 	for i, ways := range o.Associativities {
 		i, ways := i, ways
 		replay(fmt.Sprintf("ways=%d", ways), func(tr *trace.Trace) error {
-			cfg := o.baseCache(cache.OptionsAll())
+			cfg := BaseCache(cache.OptionsAll())
 			cfg.Ways = ways
 			bs, cs, err := st.rep.Replay(tr, cfg, bus.DefaultTiming())
 			if err != nil {
@@ -263,7 +263,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 		})
 	}
 	replay("two-word bus", func(tr *trace.Trace) error {
-		bs, _, err := st.rep.Replay(tr, o.baseCache(cache.OptionsAll()),
+		bs, _, err := st.rep.Replay(tr, BaseCache(cache.OptionsAll()),
 			bus.Timing{MemCycles: 8, WidthWords: 2})
 		if err != nil {
 			return err
@@ -272,7 +272,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 		return nil
 	})
 	replay("Illinois", func(tr *trace.Trace) error {
-		cfg := o.baseCache(cache.OptionsNone())
+		cfg := BaseCache(cache.OptionsNone())
 		cfg.Protocol = cache.ProtocolIllinois
 		bs, _, err := st.rep.Replay(tr, cfg, bus.DefaultTiming())
 		if err != nil {
@@ -282,7 +282,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 		return nil
 	})
 	replay("write-through", func(tr *trace.Trace) error {
-		cfg := o.baseCache(cache.OptionsNone())
+		cfg := BaseCache(cache.OptionsNone())
 		cfg.Protocol = cache.ProtocolWriteThrough
 		bs, _, err := st.rep.Replay(tr, cfg, bus.DefaultTiming())
 		if err != nil {
@@ -294,7 +294,7 @@ func submitReplayJobs(pool *par.Pool, pw *progressLog, o Options, st *benchState
 	for i, ap := range altProtocols() {
 		i, ap := i, ap
 		replay(ap.String(), func(tr *trace.Trace) error {
-			cfg := o.baseCache(cache.OptionsNone())
+			cfg := BaseCache(cache.OptionsNone())
 			cfg.Protocol = ap
 			bs, _, err := st.rep.Replay(tr, cfg, bus.DefaultTiming())
 			if err != nil {

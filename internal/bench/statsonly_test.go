@@ -36,20 +36,15 @@ func sameEvents(t *testing.T, label string, data, statsOnly []probe.Event) {
 	}
 }
 
-// statsOnlyProtocols is the replay matrix the stats-only oracle runs: the
-// three protocols, each with the bus filters on and off.
+// statsOnlyProtocols is the replay matrix the stats-only oracle runs.
 var statsOnlyProtocols = []struct {
-	name    string
-	opts    cache.Options
-	proto   cache.Protocol
-	disable bool
+	name  string
+	opts  cache.Options
+	proto cache.Protocol
 }{
-	{"pim", cache.OptionsAll(), cache.ProtocolPIM, false},
-	{"pim/unfiltered", cache.OptionsAll(), cache.ProtocolPIM, true},
-	{"illinois", cache.OptionsNone(), cache.ProtocolIllinois, false},
-	{"illinois/unfiltered", cache.OptionsNone(), cache.ProtocolIllinois, true},
-	{"writethrough", cache.OptionsNone(), cache.ProtocolWriteThrough, false},
-	{"writethrough/unfiltered", cache.OptionsNone(), cache.ProtocolWriteThrough, true},
+	{"pim", cache.OptionsAll(), cache.ProtocolPIM},
+	{"illinois", cache.OptionsNone(), cache.ProtocolIllinois},
+	{"writethrough", cache.OptionsNone(), cache.ProtocolWriteThrough},
 }
 
 // statsOnlyTraces returns the oracle's workloads: one live-recorded
@@ -76,7 +71,7 @@ func statsOnlyTraces(t *testing.T) map[string]*trace.Trace {
 // TestStatsOnlyEquivalence is the tentpole oracle: replaying any stream
 // with the data plane removed must yield bit-identical bus statistics,
 // cache statistics, and probe event streams to the data-carrying replay,
-// for every protocol with the filters on and off.
+// for every protocol.
 func TestStatsOnlyEquivalence(t *testing.T) {
 	for trName, tr := range statsOnlyTraces(t) {
 		tr := tr
@@ -85,7 +80,6 @@ func TestStatsOnlyEquivalence(t *testing.T) {
 			for _, p := range statsOnlyProtocols {
 				cfg := BaseCache(p.opts)
 				cfg.Protocol = p.proto
-				cfg.DisableBusFilters = p.disable
 
 				var dataLog eventLog
 				bsData, csData, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &dataLog)
@@ -108,47 +102,6 @@ func TestStatsOnlyEquivalence(t *testing.T) {
 					t.Errorf("%s: cache stats diverge\ndata:       %+v\nstats-only: %+v", p.name, csData, csSO)
 				}
 				sameEvents(t, p.name, dataLog.events, soLog.events)
-			}
-		})
-	}
-}
-
-// TestStatsOnlyPackedEquivalence pins the pre-decoded fast path: packing
-// a trace and replaying the flat word stream (stats-only or not) must
-// match the data-carrying []Ref replay exactly.
-func TestStatsOnlyPackedEquivalence(t *testing.T) {
-	for trName, tr := range statsOnlyTraces(t) {
-		tr := tr
-		t.Run(trName, func(t *testing.T) {
-			t.Parallel()
-			p, err := trace.Pack(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Len() != tr.Len() {
-				t.Fatalf("packed %d refs, trace has %d", p.Len(), tr.Len())
-			}
-			cfg := BaseCache(cache.OptionsAll())
-			bsData, csData, err := ReplayConfig(tr, cfg, bus.DefaultTiming())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []struct {
-				name      string
-				statsOnly bool
-			}{{"data", false}, {"statsonly", true}} {
-				mcfg := cfg
-				mcfg.StatsOnly = mode.statsOnly
-				bs, cs, err := ReplayPacked(p, mcfg, bus.DefaultTiming())
-				if err != nil {
-					t.Fatalf("%s: %v", mode.name, err)
-				}
-				if bs != bsData {
-					t.Errorf("%s: bus stats diverge\nrefs:   %+v\npacked: %+v", mode.name, bsData, bs)
-				}
-				if cs != csData {
-					t.Errorf("%s: cache stats diverge\nrefs:   %+v\npacked: %+v", mode.name, csData, cs)
-				}
 			}
 		})
 	}

@@ -200,35 +200,35 @@ func (o Options) replayKeys() []warmKey {
 	var keys []warmKey
 	dt := bus.DefaultTiming()
 	for _, v := range OptVariants {
-		keys = append(keys, warmKey{o.baseCache(v.Opts), dt})
+		keys = append(keys, warmKey{BaseCache(v.Opts), dt})
 	}
 	if o.SkipSweeps {
 		return keys
 	}
 	for _, bw := range o.BlockSizes {
-		cfg := o.baseCache(cache.OptionsAll())
+		cfg := BaseCache(cache.OptionsAll())
 		cfg.BlockWords = bw
 		keys = append(keys, warmKey{cfg, dt})
 	}
 	for _, size := range o.Capacities {
-		cfg := o.baseCache(cache.OptionsAll())
+		cfg := BaseCache(cache.OptionsAll())
 		cfg.SizeWords = size
 		keys = append(keys, warmKey{cfg, dt})
 	}
 	for _, ways := range o.Associativities {
-		cfg := o.baseCache(cache.OptionsAll())
+		cfg := BaseCache(cache.OptionsAll())
 		cfg.Ways = ways
 		keys = append(keys, warmKey{cfg, dt})
 	}
-	keys = append(keys, warmKey{o.baseCache(cache.OptionsAll()), bus.Timing{MemCycles: 8, WidthWords: 2}})
-	ill := o.baseCache(cache.OptionsNone())
+	keys = append(keys, warmKey{BaseCache(cache.OptionsAll()), bus.Timing{MemCycles: 8, WidthWords: 2}})
+	ill := BaseCache(cache.OptionsNone())
 	ill.Protocol = cache.ProtocolIllinois
 	keys = append(keys, warmKey{ill, dt})
-	wt := o.baseCache(cache.OptionsNone())
+	wt := BaseCache(cache.OptionsNone())
 	wt.Protocol = cache.ProtocolWriteThrough
 	keys = append(keys, warmKey{wt, dt})
 	for _, ap := range altProtocols() {
-		cfg := o.baseCache(cache.OptionsNone())
+		cfg := BaseCache(cache.OptionsNone())
 		cfg.Protocol = ap
 		keys = append(keys, warmKey{cfg, dt})
 	}

@@ -284,13 +284,14 @@ const MaxPEs = 64
 // kept current by the caches through BlockInstalled/BlockDropped, and
 // per-PE held-lock counts kept current through LockAcquired/LockReleased.
 // They make every snoop and lock poll O(actual holders) instead of
-// O(PEs), which is a simulator-host acceleration only: filtered and
-// unfiltered runs produce identical simulated statistics (the modelled
-// hardware broadcasts either way, and cycle accounting never depended on
-// the number of polled units). The table is a flat slice sized from the
-// memory footprint — at 8 bytes per block it costs 1/4 word per memory
-// word at 4-word blocks, and unlike the map it predates it is branch-free
-// and never allocates on the install path.
+// O(PEs), which is a simulator-host acceleration only: the modelled
+// hardware broadcasts to every unit, and cycle accounting never depends
+// on the number of polled units. A unit the filters skip holds no copy
+// (or no lock), so its snoop would have changed nothing; ScanHolders is
+// the ground truth the filters are checked against. The table is a flat
+// slice sized from the memory footprint — at 8 bytes per block it costs
+// 1/4 word per memory word at 4-word blocks, and unlike the map it
+// predates it is branch-free and never allocates on the install path.
 type Bus struct {
 	timing     Timing
 	blockWords int
@@ -304,7 +305,6 @@ type Bus struct {
 	stats     Stats
 
 	// Presence filters and the reusable fetch buffer (see type comment).
-	noFilters bool
 	poison    bool
 	statsOnly bool
 	// presence is the block-residency filter, paged: page p covers
@@ -319,7 +319,6 @@ type Bus struct {
 	blockShift     uint
 	lockCounts     []uint32
 	totalLocks     int
-	allMask        uint64
 	blockBuf       []word.Word
 
 	// cycleTab and memBusyTab are Timing.Cycles and the memory-module
@@ -341,12 +340,6 @@ type Bus struct {
 type Config struct {
 	Timing     Timing
 	BlockWords int
-	// DisableFilters turns off the snoop and lock presence filters so
-	// every transaction polls every attached unit, as real broadcast
-	// hardware does. Simulated results are identical either way; the
-	// unfiltered path exists as the equivalence oracle and benchmark
-	// baseline.
-	DisableFilters bool
 	// PoisonFetchData scribbles the reusable fetch buffer with a
 	// recognizable poison pattern at the start of every bus transaction.
 	// Any caller that (illegally) retains FetchResult.Data across a
@@ -390,7 +383,6 @@ func New(cfg Config, memory *mem.Memory) *Bus {
 		blockWords:     cfg.BlockWords,
 		memory:         memory,
 		bounds:         memory.Bounds(),
-		noFilters:      cfg.DisableFilters,
 		poison:         cfg.PoisonFetchData,
 		statsOnly:      cfg.StatsOnly,
 		presence:       make([][]uint64, (blocks+presencePageLen-1)/presencePageLen),
@@ -433,7 +425,6 @@ func (b *Bus) Attach(p int, s Snooper, l LockUnit) {
 	b.snoopers = append(b.snoopers, s)
 	b.lockUnits = append(b.lockUnits, l)
 	b.lockCounts = append(b.lockCounts, 0)
-	b.allMask |= 1 << uint(p)
 }
 
 // --- presence-filter notification API (called by the caches) ---
@@ -505,8 +496,8 @@ func (b *Bus) HolderMask(addr word.Addr) uint64 {
 }
 
 // ScanHolders polls every attached snooper's Holds for addr's block and
-// returns the equivalent bitmask; it is the unfiltered ground truth the
-// presence filter must always agree with.
+// returns the equivalent bitmask; it is the ground truth the presence
+// filter must always agree with.
 func (b *Bus) ScanHolders(addr word.Addr) uint64 {
 	var m uint64
 	for i, s := range b.snoopers {
@@ -523,14 +514,11 @@ func (b *Bus) LockCount(pe int) int { return int(b.lockCounts[pe]) }
 // TotalLockCount reports the lock filter's global held-lock count.
 func (b *Bus) TotalLockCount() int { return b.totalLocks }
 
-// remoteMask returns the bitmask of PEs the bus must snoop for the block
-// based at base on behalf of requester: every other attached PE when the
-// filters are off, only the actual remote holders when they are on.
-func (b *Bus) remoteMask(requester int, base word.Addr) uint64 {
-	if b.noFilters {
-		return b.allMask &^ (1 << uint(requester))
-	}
-	return b.presenceAt(base>>b.blockShift) &^ (1 << uint(requester))
+// remoteMask returns the bitmask of PEs other than requester that hold
+// the block containing addr: the set the bus must snoop, and the
+// remote-holder mask reported in bus events.
+func (b *Bus) remoteMask(requester int, addr word.Addr) uint64 {
+	return b.presenceAt(addr>>b.blockShift) &^ (1 << uint(requester))
 }
 
 // remoteLocks counts locks held by PEs other than requester.
@@ -581,17 +569,6 @@ func (b *Bus) Tick() { b.ticks++ }
 // stream, so live runs and trace replays agree.
 func (b *Bus) ProbeClock() uint64 { return b.ticks + b.stats.TotalCycles }
 
-// actualHolders is the remote-holder bitmask reported in bus events:
-// the presence filter when it is on, the ground-truth scan when it is
-// off. The two are identical by the filter-equivalence invariant, so
-// event streams do not depend on the filter setting.
-func (b *Bus) actualHolders(requester int, addr word.Addr) uint64 {
-	if b.noFilters {
-		return b.ScanHolders(addr) &^ (1 << uint(requester))
-	}
-	return b.presenceAt(addr>>b.blockShift) &^ (1 << uint(requester))
-}
-
 // emitBegin and emitEnd report a bus transaction; callers check
 // b.probe != nil first. cmd is the Section 3.3 command byte or
 // probe.CmdNone; holders is the remote-holder mask captured before
@@ -639,12 +616,12 @@ func (b *Bus) account(p Pattern, a word.Addr) uint64 {
 }
 
 // lockHit polls remote lock directories for a lock on exactly addr,
-// recording the waiter on a hit. With the lock filter on, the poll
+// recording the waiter on a hit. Through the lock filter the poll
 // returns immediately when no remote PE holds any lock and otherwise
 // visits only PEs with nonzero held-lock counts — a directory with no
 // entries can neither hit nor change state, so skipping it is exact.
 func (b *Bus) lockHit(requester int, addr word.Addr) bool {
-	if !b.noFilters && b.remoteLocks(requester) == 0 {
+	if b.remoteLocks(requester) == 0 {
 		return false
 	}
 	hit := false
@@ -652,7 +629,7 @@ func (b *Bus) lockHit(requester int, addr word.Addr) bool {
 		if i == requester || lu == nil {
 			continue
 		}
-		if !b.noFilters && b.lockCounts[i] == 0 {
+		if b.lockCounts[i] == 0 {
 			continue
 		}
 		if lu.CheckLocked(addr) {
@@ -670,7 +647,7 @@ func (b *Bus) lockHit(requester int, addr word.Addr) bool {
 // Filtered the same way as lockHit (LocksInBlock has no side effects, so
 // skipping lock-free PEs is trivially exact).
 func (b *Bus) lockedBlockElsewhere(requester int, addr word.Addr) bool {
-	if !b.noFilters && b.remoteLocks(requester) == 0 {
+	if b.remoteLocks(requester) == 0 {
 		return false
 	}
 	base := b.blockBase(addr)
@@ -678,7 +655,7 @@ func (b *Bus) lockedBlockElsewhere(requester int, addr word.Addr) bool {
 		if i == requester || lu == nil {
 			continue
 		}
-		if !b.noFilters && b.lockCounts[i] == 0 {
+		if b.lockCounts[i] == 0 {
 			continue
 		}
 		if lu.LocksInBlock(base, b.blockWords) {
@@ -704,7 +681,7 @@ func (b *Bus) Fetch(requester int, addr word.Addr, inval, victimDirty, withLock 
 		// address broadcast still consumed bus cycles.
 		var holders uint64
 		if b.probe != nil {
-			holders = b.actualHolders(requester, addr)
+			holders = b.remoteMask(requester, addr)
 		}
 		cy := b.account(PatInval, addr)
 		if b.probe != nil {
@@ -740,7 +717,7 @@ func (b *Bus) fetch(requester int, addr word.Addr, inval, victimDirty, withLock 
 	if b.probe != nil {
 		// Captured before the snoop loop: FI snoops drop copies and
 		// mutate the presence table.
-		holders = b.actualHolders(requester, addr)
+		holders = b.remoteMask(requester, addr)
 		b.emitBegin(requester, addr, uint8(cmd), holders, withLock)
 	}
 	var res FetchResult
@@ -748,8 +725,8 @@ func (b *Bus) fetch(requester int, addr word.Addr, inval, victimDirty, withLock 
 	// res.Data != nil — so the stats-only mode, which never materializes
 	// Data, selects the identical pattern and command counts.
 	fromCache := false
-	// Visit the (filtered) snoop set in ascending PE order — the same
-	// order the unfiltered scan used, so supplier selection is identical.
+	// Visit the filtered snoop set in ascending PE order — the order a
+	// broadcast to every PE would visit, so supplier selection matches it.
 	// Snoopers invalidated mid-loop mutate b.presence; m is a local copy,
 	// so the iteration is unaffected.
 	for m := b.remoteMask(requester, base); m != 0; m &= m - 1 {
@@ -825,21 +802,9 @@ func (b *Bus) RemoteLockInBlock(requester int, addr word.Addr) bool {
 // RemoteHolder reports whether any cache other than requester holds a
 // valid copy of the block containing addr. This is the snoop-result peek
 // the cache controller uses to select among the ER and RP sub-behaviours
-// before committing to a bus command. With the presence filter it is one
-// table load; unfiltered it polls every snooper.
+// before committing to a bus command: one presence-table load.
 func (b *Bus) RemoteHolder(requester int, addr word.Addr) bool {
-	if !b.noFilters {
-		return b.presenceAt(addr>>b.blockShift)&^(1<<uint(requester)) != 0
-	}
-	for i, s := range b.snoopers {
-		if i == requester || s == nil {
-			continue
-		}
-		if s.Holds(addr) {
-			return true
-		}
-	}
-	return false
+	return b.remoteMask(requester, addr) != 0
 }
 
 // Invalidate performs an I transaction for the block containing addr
@@ -857,7 +822,7 @@ func (b *Bus) Invalidate(requester int, addr word.Addr, withLock bool) (ok, dirt
 	if b.lockHit(requester, addr) {
 		var holders uint64
 		if b.probe != nil {
-			holders = b.actualHolders(requester, addr)
+			holders = b.remoteMask(requester, addr)
 		}
 		cy := b.account(PatInval, addr)
 		if b.probe != nil {
@@ -879,13 +844,13 @@ func (b *Bus) invalidate(requester int, addr word.Addr, withLock bool) (dirtyKil
 	b.stats.Commands[CmdI]++
 	var holders uint64
 	if b.probe != nil {
-		holders = b.actualHolders(requester, addr)
+		holders = b.remoteMask(requester, addr)
 		b.emitBegin(requester, addr, uint8(CmdI), holders, withLock)
 	}
 	cy := b.account(PatInval, addr)
 	// SnoopInvalidate is a no-op on non-holders, so visiting only the
 	// filtered holder set is exact.
-	for m := b.remoteMask(requester, b.blockBase(addr)); m != 0; m &= m - 1 {
+	for m := b.remoteMask(requester, addr); m != 0; m &= m - 1 {
 		if s := b.snoopers[bits.TrailingZeros64(m)]; s != nil {
 			if s.SnoopInvalidate(addr) {
 				dirtyKilled = true
@@ -912,7 +877,7 @@ func (b *Bus) Update(requester int, addr word.Addr, w word.Word) (ok, shared boo
 	if b.lockHit(requester, addr) {
 		var holders uint64
 		if b.probe != nil {
-			holders = b.actualHolders(requester, addr)
+			holders = b.remoteMask(requester, addr)
 		}
 		cy := b.account(PatInval, addr)
 		if b.probe != nil {
@@ -933,7 +898,7 @@ func (b *Bus) update(requester int, addr word.Addr, w word.Word) (shared bool) {
 	b.stats.Commands[CmdUP]++
 	var holders uint64
 	if b.probe != nil {
-		holders = b.actualHolders(requester, addr)
+		holders = b.remoteMask(requester, addr)
 		b.emitBegin(requester, addr, uint8(CmdUP), holders, false)
 	}
 	cy := b.account(PatUpdate, addr)
@@ -941,7 +906,7 @@ func (b *Bus) update(requester int, addr word.Addr, w word.Word) (shared bool) {
 	// filtered holder set is exact. Holders self-invalidating mid-loop
 	// (the adaptive protocol) mutate b.presence; m is a local copy, so
 	// the iteration is unaffected.
-	for m := b.remoteMask(requester, b.blockBase(addr)); m != 0; m &= m - 1 {
+	for m := b.remoteMask(requester, addr); m != 0; m &= m - 1 {
 		if s := b.snoopers[bits.TrailingZeros64(m)]; s != nil {
 			held, retained := s.SnoopUpdate(addr, w)
 			if held {
@@ -1004,14 +969,14 @@ func (b *Bus) WordWrite(requester int, addr word.Addr, w word.Word) {
 	b.beginTransaction()
 	var holders uint64
 	if b.probe != nil {
-		holders = b.actualHolders(requester, addr)
+		holders = b.remoteMask(requester, addr)
 		b.emitBegin(requester, addr, probe.CmdNone, holders, false)
 	}
 	if !b.statsOnly {
 		b.memory.Write(addr, w)
 	}
 	cy := b.account(PatWordWrite, addr)
-	for m := b.remoteMask(requester, b.blockBase(addr)); m != 0; m &= m - 1 {
+	for m := b.remoteMask(requester, addr); m != 0; m &= m - 1 {
 		if s := b.snoopers[bits.TrailingZeros64(m)]; s != nil {
 			// Write-through blocks are never dirty, so the response is
 			// unused here.

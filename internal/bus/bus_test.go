@@ -79,14 +79,28 @@ func TestPatternAndCommandNames(t *testing.T) {
 	}
 }
 
-// fakeSnooper is a scriptable cache stand-in.
+// fakeSnooper is a scriptable cache stand-in holding at most one block.
+// hold installs it and snoop invalidations drop it, each notifying the
+// bus presence filter as the real cache does.
 type fakeSnooper struct {
+	bus        *Bus
+	pe         int
 	data       []word.Word
 	holds      bool
 	dirty      bool
 	retainOnF  bool
 	snoopCount int
 	invalCount int
+}
+
+func (f *fakeSnooper) hold(base word.Addr) {
+	f.holds = true
+	f.bus.BlockInstalled(f.pe, base)
+}
+
+func (f *fakeSnooper) drop(addr word.Addr) {
+	f.holds = false
+	f.bus.BlockDropped(f.pe, f.bus.blockBase(addr))
 }
 
 func (f *fakeSnooper) SnoopFetch(addr word.Addr, inval bool) ([]word.Word, bool, bool, bool, bool) {
@@ -96,7 +110,7 @@ func (f *fakeSnooper) SnoopFetch(addr word.Addr, inval bool) ([]word.Word, bool,
 	}
 	retained := !inval && f.retainOnF
 	if inval {
-		f.holds = false
+		f.drop(addr)
 	}
 	return f.data, true, true, f.dirty, retained
 }
@@ -105,18 +119,28 @@ func (f *fakeSnooper) SnoopUpdate(word.Addr, word.Word) (bool, bool) {
 	return f.holds, f.holds
 }
 
-func (f *fakeSnooper) SnoopInvalidate(word.Addr) bool {
+func (f *fakeSnooper) SnoopInvalidate(addr word.Addr) bool {
 	f.invalCount++
 	wasDirty := f.holds && f.dirty
-	f.holds = false
+	if f.holds {
+		f.drop(addr)
+	}
 	return wasDirty
 }
 func (f *fakeSnooper) Holds(word.Addr) bool { return f.holds }
 
 type fakeLockUnit struct {
+	bus      *Bus
+	pe       int
 	locked   map[word.Addr]bool
 	waiters  int
 	unlocked []word.Addr
+}
+
+// lock records a held lock on a and notifies the bus lock filter.
+func (f *fakeLockUnit) lock(a word.Addr) {
+	f.locked[a] = true
+	f.bus.LockAcquired(f.pe)
 }
 
 func (f *fakeLockUnit) CheckLocked(a word.Addr) bool {
@@ -138,15 +162,12 @@ func (f *fakeLockUnit) ObserveUnlock(a word.Addr) { f.unlocked = append(f.unlock
 
 func newTestBus(t *testing.T, peers int) (*Bus, []*fakeSnooper, []*fakeLockUnit) {
 	t.Helper()
-	// The fakes set holds/locked directly without notifying the presence
-	// filters, so these tests exercise the unfiltered broadcast paths.
-	// filter_test.go covers the filtered ones with notifying fakes.
-	b := New(Config{Timing: DefaultTiming(), BlockWords: 4, DisableFilters: true}, testMemory())
+	b := New(Config{Timing: DefaultTiming(), BlockWords: 4}, testMemory())
 	snoops := make([]*fakeSnooper, peers)
 	locks := make([]*fakeLockUnit, peers)
 	for i := 0; i < peers; i++ {
-		snoops[i] = &fakeSnooper{data: make([]word.Word, 4)}
-		locks[i] = &fakeLockUnit{locked: map[word.Addr]bool{}}
+		snoops[i] = &fakeSnooper{bus: b, pe: i, data: make([]word.Word, 4)}
+		locks[i] = &fakeLockUnit{bus: b, pe: i, locked: map[word.Addr]bool{}}
 		b.Attach(i, snoops[i], locks[i])
 	}
 	return b, snoops, locks
@@ -178,7 +199,7 @@ func TestFetchFromMemory(t *testing.T) {
 func TestFetchCacheToCache(t *testing.T) {
 	b, snoops, _ := newTestBus(t, 3)
 	base := b.Memory().Bounds().HeapBase
-	snoops[1].holds = true
+	snoops[1].hold(base)
 	snoops[1].dirty = true
 	snoops[1].retainOnF = true
 	snoops[1].data[0] = word.Int(7)
@@ -205,7 +226,7 @@ func TestFetchCacheToCache(t *testing.T) {
 func TestFetchInvalidateSupplier(t *testing.T) {
 	b, snoops, _ := newTestBus(t, 2)
 	base := b.Memory().Bounds().HeapBase
-	snoops[1].holds = true
+	snoops[1].hold(base)
 	res := b.Fetch(0, base, true, false, false)
 	if snoops[1].holds {
 		t.Error("FI did not invalidate the supplier")
@@ -228,7 +249,7 @@ func TestFetchWithVictimSwapOutPattern(t *testing.T) {
 		t.Error("swap-in+swap-out pattern not used")
 	}
 	// Cache-sourced with dirty victim: 10 cycles.
-	snoops[1].holds = true
+	snoops[1].hold(base + 64)
 	snoops[1].retainOnF = true
 	b.Fetch(0, base+64, false, true, false)
 	st := b.Stats()
@@ -243,8 +264,8 @@ func TestFetchWithVictimSwapOutPattern(t *testing.T) {
 func TestLockHitAbortsFetch(t *testing.T) {
 	b, snoops, locks := newTestBus(t, 2)
 	base := b.Memory().Bounds().HeapBase
-	locks[1].locked[base+2] = true
-	snoops[1].holds = true
+	locks[1].lock(base + 2)
+	snoops[1].hold(base)
 	res := b.Fetch(0, base+2, false, false, false)
 	if !res.LockHit || res.Data != nil {
 		t.Fatalf("expected aborted fetch, got %+v", res)
@@ -268,7 +289,7 @@ func TestLockHitAbortsFetch(t *testing.T) {
 func TestLockDeniesExclusiveGrant(t *testing.T) {
 	b, _, locks := newTestBus(t, 2)
 	base := b.Memory().Bounds().HeapBase
-	locks[1].locked[base+3] = true
+	locks[1].lock(base + 3)
 	// Fetching a DIFFERENT word of the same block must succeed but be
 	// granted shared.
 	res := b.Fetch(0, base+1, false, false, false)
@@ -294,8 +315,8 @@ func TestLockDeniesExclusiveGrant(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	b, snoops, locks := newTestBus(t, 3)
 	base := b.Memory().Bounds().HeapBase
-	snoops[1].holds = true
-	snoops[2].holds = true
+	snoops[1].hold(base)
+	snoops[2].hold(base)
 	if ok, _ := b.Invalidate(0, base, false); !ok {
 		t.Fatal("invalidate aborted unexpectedly")
 	}
@@ -307,7 +328,7 @@ func TestInvalidate(t *testing.T) {
 		t.Errorf("stats %+v", st)
 	}
 	// A locked word blocks the invalidation.
-	locks[1].locked[base+8] = true
+	locks[1].lock(base + 8)
 	if ok, _ := b.Invalidate(0, base+8, true); ok {
 		t.Error("invalidate of locked word succeeded")
 	}
@@ -351,7 +372,7 @@ func TestMemBusyAccounting(t *testing.T) {
 	if got := b.Stats().MemBusyCycles; got != 8 {
 		t.Fatalf("mem busy after fetch = %d", got)
 	}
-	snoops[1].holds = true
+	snoops[1].hold(base + 64)
 	snoops[1].retainOnF = true
 	b.Fetch(0, base+64, false, false, false) // c2c: memory idle
 	if got := b.Stats().MemBusyCycles; got != 8 {
@@ -369,7 +390,7 @@ func TestRemoteHolder(t *testing.T) {
 	if b.RemoteHolder(0, base) {
 		t.Error("no one holds the block yet")
 	}
-	snoops[2].holds = true
+	snoops[2].hold(base)
 	if !b.RemoteHolder(0, base) {
 		t.Error("holder not seen")
 	}

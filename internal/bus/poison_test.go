@@ -6,15 +6,14 @@ import (
 	"pimcache/internal/kl1/word"
 )
 
-// newPoisonBus builds an unfiltered 2-PE bus with PoisonFetchData on.
+// newPoisonBus builds a 2-PE bus with PoisonFetchData on.
 func newPoisonBus(t *testing.T) (*Bus, []*fakeSnooper) {
 	t.Helper()
-	b := New(Config{Timing: DefaultTiming(), BlockWords: 4,
-		DisableFilters: true, PoisonFetchData: true}, testMemory())
+	b := New(Config{Timing: DefaultTiming(), BlockWords: 4, PoisonFetchData: true}, testMemory())
 	snoops := make([]*fakeSnooper, 2)
 	for i := range snoops {
-		snoops[i] = &fakeSnooper{data: make([]word.Word, 4)}
-		b.Attach(i, snoops[i], &fakeLockUnit{locked: map[word.Addr]bool{}})
+		snoops[i] = &fakeSnooper{bus: b, pe: i, data: make([]word.Word, 4)}
+		b.Attach(i, snoops[i], &fakeLockUnit{bus: b, pe: i, locked: map[word.Addr]bool{}})
 	}
 	return b, snoops
 }

@@ -456,14 +456,6 @@ func (c *Cache) updateShared(f int, a word.Addr, w word.Word) {
 
 func (c *Cache) countRef(a word.Addr, op Op) mem.Area {
 	area := c.bounds.AreaOf(a)
-	c.countRefIn(a, area, op)
-	return area
-}
-
-// countRefIn is countRef with the area already classified — the packed
-// pre-decoded replay path computes each ref's area once per trace and
-// skips the per-reference AreaOf branch chain.
-func (c *Cache) countRefIn(a word.Addr, area mem.Area, op Op) {
 	c.stats.Refs[area][op]++
 	if c.probe != nil {
 		// The reference advances the probe clock by one cycle (the cache
@@ -475,6 +467,7 @@ func (c *Cache) countRefIn(a word.Addr, area mem.Area, op Op) {
 			Addr: a, A: uint8(op),
 		})
 	}
+	return area
 }
 
 // Read implements the R operation.
@@ -796,41 +789,6 @@ func (c *Cache) UnlockWrite(a word.Addr, w word.Word) {
 func (c *Cache) Unlock(a word.Addr) {
 	c.countRef(a, OpU)
 	c.releaseLock(a)
-}
-
-// Apply performs op at a with the address's area class already computed
-// (callers must pass exactly what c's areaOf would return — the packed
-// pre-decoded replay computes it once per trace). It behaves identically
-// to the corresponding Accessor method with the written value 0 and the
-// read value discarded, which is precisely what trace replay does. ok is
-// false only when an LR blocked on a remote lock.
-func (c *Cache) Apply(op Op, a word.Addr, area mem.Area) (ok bool) {
-	c.countRefIn(a, area, op)
-	switch op {
-	case OpR:
-		c.readInternal(a, OpR)
-	case OpW:
-		c.writeInternal(a, 0, OpW)
-	case OpLR:
-		_, ok := c.lockRead(a)
-		return ok
-	case OpUW:
-		c.writeInternal(a, 0, OpUW)
-		c.releaseLock(a)
-	case OpU:
-		c.releaseLock(a)
-	case OpDW:
-		c.directWrite(a, 0, area)
-	case OpER:
-		c.exclusiveRead(a, area)
-	case OpRP:
-		c.readPurge(a, area)
-	case OpRI:
-		c.readInvalidate(a, area)
-	default:
-		panic(fmt.Sprintf("cache: Apply: unknown op %d", op))
-	}
-	return true
 }
 
 func (c *Cache) releaseLock(a word.Addr) {

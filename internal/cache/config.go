@@ -125,13 +125,6 @@ type Config struct {
 	// remote cache holds the target block) on every applied DW and
 	// panics on violation. Tests enable it; it models nothing.
 	VerifyDW bool
-	// DisableBusFilters, when set, makes the bus fall back to polling
-	// every attached snooper and lock unit instead of consulting its
-	// presence filters. The filters are a simulator-level acceleration
-	// with identical observable results, so like VerifyDW this knob
-	// models nothing; the equivalence tests and baseline benchmarks
-	// enable it.
-	DisableBusFilters bool
 	// PoisonBusData, when set, makes the bus scribble its reusable
 	// fetch buffer at the start of every transaction (see
 	// bus.Config.PoisonFetchData), so any code that illegally retains

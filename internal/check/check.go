@@ -28,7 +28,7 @@
 //     protocol x optimization configuration (the optimized commands are
 //     value-preserving under the software contracts the generator
 //     respects, so all configurations must agree with the model), and
-//     the filtered and unfiltered bus must produce bit-identical
+//     every configuration's stats-only twin must produce bit-identical
 //     statistics.
 //
 // Inputs are raw byte strings (fuzz-friendly); Decode turns any bytes

@@ -12,10 +12,9 @@ import (
 // RunConfig selects one protocol/optimization/bus configuration for a
 // checked run.
 type RunConfig struct {
-	Label          string
-	Protocol       cache.Protocol
-	Options        cache.Options
-	DisableFilters bool
+	Label    string
+	Protocol cache.Protocol
+	Options  cache.Options
 	// StatsOnly runs the configuration without a data plane. Value
 	// predictions (model reads, the flushed-memory image) cannot be
 	// checked — there are no values — but every state-derived check
@@ -52,8 +51,8 @@ func Configs() []RunConfig {
 }
 
 // Result is the observable outcome of a run; it is comparable with ==,
-// which is how the filtered and unfiltered bus are required to match
-// bit for bit.
+// which is how the data-carrying and stats-only twins are required to
+// match bit for bit.
 type Result struct {
 	Cache cache.Stats
 	Bus   bus.Stats
@@ -101,21 +100,19 @@ func newHarness(pes int, rc RunConfig) *harness {
 	b := bus.New(bus.Config{
 		Timing:          bus.DefaultTiming(),
 		BlockWords:      BlockWords,
-		DisableFilters:  rc.DisableFilters,
 		PoisonFetchData: !rc.StatsOnly,
 		StatsOnly:       rc.StatsOnly,
 	}, m)
 	ccfg := cache.Config{
-		SizeWords:         CacheWords,
-		BlockWords:        BlockWords,
-		Ways:              1,
-		LockEntries:       4,
-		Options:           rc.Options,
-		Protocol:          rc.Protocol,
-		VerifyDW:          true,
-		DisableBusFilters: rc.DisableFilters,
-		PoisonBusData:     !rc.StatsOnly,
-		StatsOnly:         rc.StatsOnly,
+		SizeWords:     CacheWords,
+		BlockWords:    BlockWords,
+		Ways:          1,
+		LockEntries:   4,
+		Options:       rc.Options,
+		Protocol:      rc.Protocol,
+		VerifyDW:      true,
+		PoisonBusData: !rc.StatsOnly,
+		StatsOnly:     rc.StatsOnly,
 	}
 	if err := ccfg.Validate(); err != nil {
 		panic(err)
@@ -296,10 +293,11 @@ func (h *harness) failEnd(msg string) *Failure {
 	return &Failure{Config: h.cfg.Label, OpIndex: -1, Msg: msg}
 }
 
-// RunAll runs s under the full configuration matrix, then re-runs the
-// copy-back/all configurations with the bus presence filters disabled,
-// and every configuration with the data plane removed (stats-only), each
-// time requiring bit-identical statistics. It returns the first failure.
+// RunAll runs s under the full configuration matrix, then re-runs every
+// configuration with the data plane removed (stats-only), requiring
+// bit-identical statistics. It returns the first failure. The bus
+// presence and lock filters need no twin: the invariant checks compare
+// them with a ground-truth scan after every operation.
 func RunAll(s *Seq) *Failure {
 	results := make(map[string]Result)
 	for _, rc := range Configs() {
@@ -308,23 +306,6 @@ func RunAll(s *Seq) *Failure {
 			return f
 		}
 		results[rc.Label] = res
-	}
-	for _, rc := range Configs() {
-		if rc.Protocol == cache.ProtocolWriteThrough && rc.Options != cache.OptionsAll() {
-			continue // one write-through twin is plenty; WT ignores Options
-		}
-		un := rc
-		un.Label = rc.Label + "/unfiltered"
-		un.DisableFilters = true
-		res, f := RunSeq(s, un)
-		if f != nil {
-			return f
-		}
-		if res != results[rc.Label] {
-			return &Failure{Config: un.Label, OpIndex: -1, Msg: fmt.Sprintf(
-				"filtered and unfiltered runs diverge:\nfiltered:   %+v\nunfiltered: %+v",
-				results[rc.Label], res)}
-		}
 	}
 	// Stats-only twins: coherence decisions must never depend on data
 	// values, so removing the data plane entirely must leave every

@@ -51,7 +51,7 @@ func applyRef(c *cache.Cache, r trace.Ref) error {
 
 // TestFilterBookkeepingUnderEvictionPressure replays conflict-heavy
 // synthetic streams through tiny direct-mapped caches and cross-checks
-// the bus presence filter against the unfiltered scan after every single
+// the bus presence filter against the ground-truth scan after every single
 // operation: the holder mask of the touched block must always equal the
 // ground-truth poll of every cache, and the per-PE lock counts must
 // always equal each lock directory's in-use count. A periodic full sweep
@@ -122,31 +122,6 @@ func TestFilterBookkeepingUnderEvictionPressure(t *testing.T) {
 						}
 					}
 				}
-			}
-
-			// The filters-off twin must land on identical statistics.
-			twin := New(Config{
-				PEs:    sc.PEs,
-				Layout: sc.Layout,
-				Cache: cache.Config{
-					SizeWords: 64, BlockWords: 4, Ways: 1, LockEntries: 4,
-					Options: cache.OptionsAll(), VerifyDW: true,
-					DisableBusFilters: true,
-				},
-				Timing: bus.DefaultTiming(),
-			})
-			for i, ref := range tr.Refs {
-				if err := applyRef(twin.Cache(int(ref.PE)), ref); err != nil {
-					t.Fatalf("twin ref %d: %v", i, err)
-				}
-			}
-			if m.BusStats() != twin.BusStats() {
-				t.Errorf("bus stats diverge under eviction pressure\nfiltered:   %+v\nunfiltered: %+v",
-					m.BusStats(), twin.BusStats())
-			}
-			if m.CacheStats() != twin.CacheStats() {
-				t.Errorf("cache stats diverge under eviction pressure\nfiltered:   %+v\nunfiltered: %+v",
-					m.CacheStats(), twin.CacheStats())
 			}
 		})
 	}

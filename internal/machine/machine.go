@@ -107,7 +107,6 @@ func New(cfg Config) *Machine {
 	b := bus.New(bus.Config{
 		Timing:          cfg.Timing,
 		BlockWords:      cfg.Cache.BlockWords,
-		DisableFilters:  cfg.Cache.DisableBusFilters,
 		PoisonFetchData: cfg.Cache.PoisonBusData,
 		StatsOnly:       cfg.Cache.StatsOnly,
 	}, m)

@@ -52,16 +52,20 @@ func restoreOK(t *testing.T, snap *machine.Snapshot, raw []byte) {
 	}
 }
 
-// TestSnapshotV1StillReadable pins backward compatibility: a legacy
-// PIMCKPT1 stream (magic + bare gob) still decodes.
-func TestSnapshotV1StillReadable(t *testing.T) {
+// TestSnapshotV1Rejected pins that the unchecksummed legacy PIMCKPT1
+// format (magic + bare gob) is no longer decoded: it fails the magic
+// check before gob sees a byte.
+func TestSnapshotV1Rejected(t *testing.T) {
 	snap := formatSnapshot(t)
 	var buf bytes.Buffer
 	buf.WriteString("PIMCKPT1\n")
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	restoreOK(t, snap, buf.Bytes())
+	if _, err := machine.DecodeSnapshot(&buf); err == nil ||
+		!strings.Contains(err.Error(), "bad checkpoint magic") {
+		t.Errorf("PIMCKPT1 stream: %v, want bad checkpoint magic", err)
+	}
 }
 
 // TestSnapshotV2DetectsCorruption pins the integrity frame: any

@@ -53,7 +53,7 @@ type Manifest struct {
 // RunConfig is the canonical simulated-machine configuration of a run.
 // Everything here is deterministic and participates in the manifest
 // key; Mode and Shards describe the replay engine path (stream,
-// packed, sharded, live, bench, table), which changes throughput but
+// sharded, live, bench, table), which changes throughput but
 // never statistics.
 type RunConfig struct {
 	PEs           int    `json:"pes,omitempty"`
@@ -66,7 +66,6 @@ type RunConfig struct {
 	BusWidthWords int    `json:"bus_width_words,omitempty"`
 	MemCycles     int    `json:"mem_cycles,omitempty"`
 	StatsOnly     bool   `json:"stats_only,omitempty"`
-	FiltersOff    bool   `json:"filters_off,omitempty"`
 	Mode          string `json:"mode,omitempty"`
 	Shards        int    `json:"shards,omitempty"`
 }
@@ -86,7 +85,6 @@ func NewRunConfig(pes int, ccfg cache.Config, timing bus.Timing, optsName, mode 
 		BusWidthWords: timing.WidthWords,
 		MemCycles:     timing.MemCycles,
 		StatsOnly:     ccfg.StatsOnly,
-		FiltersOff:    ccfg.DisableBusFilters,
 		Mode:          mode,
 		Shards:        shards,
 	}
@@ -267,7 +265,7 @@ func (m *Manifest) Key() string {
 
 // StatsKey identifies the *simulated outcome*: like Key, but with the
 // scenario label and the replay-engine knobs that provably do not
-// change statistics (Mode, Shards, StatsOnly, FiltersOff) cleared.
+// change statistics (Mode, Shards, StatsOnly) cleared.
 // Manifests sharing a StatsKey must agree bit for bit on their Stats
 // section even when they took different engine paths — the free
 // cross-mode, cross-host determinism oracle.
@@ -276,7 +274,6 @@ func (m *Manifest) StatsKey() string {
 	cfg.Mode = ""
 	cfg.Shards = 0
 	cfg.StatsOnly = false
-	cfg.FiltersOff = false
 	return digestKey(keyFields{Config: cfg, Trace: m.Trace, Workload: m.Workload})
 }
 

@@ -58,15 +58,16 @@ func TestDeterministicJSONStripsTiming(t *testing.T) {
 // StatsKey erases exactly the knobs that cannot change statistics.
 func TestKeyAndStatsKey(t *testing.T) {
 	stream := testManifest("stream")
-	packed := testManifest("packed")
-	packed.Scenario = "replay-packed-8pe"
-	packed.Config.StatsOnly = true
+	sharded := testManifest("sharded")
+	sharded.Scenario = "replay-sharded-8pe"
+	sharded.Config.Shards = 2
+	sharded.Config.StatsOnly = true
 
-	if stream.Key() == packed.Key() {
+	if stream.Key() == sharded.Key() {
 		t.Fatal("different scenario/mode must produce different Keys")
 	}
-	if stream.StatsKey() != packed.StatsKey() {
-		t.Fatal("mode/statsonly/scenario must not affect StatsKey")
+	if stream.StatsKey() != sharded.StatsKey() {
+		t.Fatal("mode/shards/statsonly/scenario must not affect StatsKey")
 	}
 
 	// A genuinely different machine must split the StatsKey.

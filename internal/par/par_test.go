@@ -96,9 +96,12 @@ func TestPoolTasksMaySubmitTasks(t *testing.T) {
 
 func TestPoolCancelDropsPending(t *testing.T) {
 	p := New(1)
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	var ran atomic.Int64
-	p.Go(func() error { <-release; return nil })
+	// The blocking task must hold the pool's single slot before the
+	// pending tasks are submitted, or one of them could take it first.
+	p.Go(func() error { close(started); <-release; return nil })
+	<-started
 	for i := 0; i < 10; i++ {
 		p.Go(func() error { ran.Add(1); return nil })
 	}
@@ -115,9 +118,12 @@ func TestPoolCancelDropsPending(t *testing.T) {
 func TestPoolCtxCancelDropsPendingAndReportsErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewCtx(ctx, 1)
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	var ran atomic.Int64
-	p.Go(func() error { <-release; return nil })
+	// As in TestPoolCancelDropsPending: the pending tasks are submitted
+	// only once the blocking task holds the single slot.
+	p.Go(func() error { close(started); <-release; return nil })
+	<-started
 	for i := 0; i < 10; i++ {
 		p.Go(func() error { ran.Add(1); return nil })
 	}

@@ -82,12 +82,12 @@ func TestDiffDeterminismViolation(t *testing.T) {
 	}
 }
 
-// TestDiffCrossMode: packed/stats-only runs share a StatsKey with the
+// TestDiffCrossMode: sharded/stats-only runs share a StatsKey with the
 // stream run, so their stats are compared (and must match); their Keys
 // differ, so throughput is not gated between them.
 func TestDiffCrossMode(t *testing.T) {
 	a := mkManifest("s", "stream", 20, nil)
-	b := mkManifest("s2", "packed", 30, func(m *obs.Manifest) {
+	b := mkManifest("s2", "sharded", 30, func(m *obs.Manifest) {
 		m.Config.StatsOnly = true
 	})
 	d, err := DiffManifests(a, b)
@@ -136,7 +136,7 @@ func TestMedianManifest(t *testing.T) {
 func TestMedianRejectsMixedScenarios(t *testing.T) {
 	runs := []*obs.Manifest{
 		mkManifest("s", "stream", 30, nil),
-		mkManifest("s", "packed", 10, nil),
+		mkManifest("s", "sharded", 10, nil),
 	}
 	if _, err := MedianManifest(runs); err == nil {
 		t.Fatal("mixed-mode runs must not merge")
@@ -222,7 +222,7 @@ func TestCheckStatsViolationIsHardError(t *testing.T) {
 func TestCheckUnmatchedScenarios(t *testing.T) {
 	base := []*obs.Manifest{
 		mkManifest("covered", "stream", 20, nil),
-		mkManifest("skipped", "packed", 20, nil),
+		mkManifest("skipped", "sharded", 20, nil),
 	}
 	runs := []*obs.Manifest{mkManifest("covered", "stream", 20, nil)}
 	res, err := Check(base, runs, 0.20)

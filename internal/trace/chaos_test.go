@@ -12,11 +12,8 @@ import (
 // TestChaosMatrixDecode drives the decoder through every planned
 // reader fault and asserts the robustness property end to end: each
 // injected fault yields either a clean labeled error or a correct,
-// complete decode — never a silently short or corrupt trace. The v3
-// format must catch every flipped bit; v2 is only required to never
-// return wrong refs without an error for the structural faults it can
-// see (its known blind spot, FlipBit in an address, is the reason v3
-// exists and is asserted as such).
+// complete decode — never a silently short or corrupt trace. The
+// checksums must catch every flipped bit.
 func TestChaosMatrixDecode(t *testing.T) {
 	tr := largeSyntheticTrace(refsPerChunk*2 + 123)
 	var buf bytes.Buffer
@@ -78,37 +75,3 @@ func TestChaosMatrixDecode(t *testing.T) {
 // guard only exists to catch a future decoder returning bare io.EOF
 // in disguise.
 func isSilent(err error) bool { return err == nil || err.Error() == "" }
-
-// TestChaosV2FlipBitBlindSpot documents why v3 exists: a bit flipped
-// in a v2 address byte decodes "successfully" into a wrong reference.
-// If this test ever fails, v2's blind spot has been fixed and the
-// matrix above can drop its version split.
-func TestChaosV2FlipBitBlindSpot(t *testing.T) {
-	tr := largeSyntheticTrace(500)
-	var buf bytes.Buffer
-	if err := tr.WriteVersion(&buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Flip a bit in the address of ref 100.
-	off := int64(len(magicV2) + headerBytes + 100*refBytes + 3)
-	r := chaos.NewReader(bytes.NewReader(raw), chaos.Fault{Kind: chaos.FlipBit, Offset: off, Bit: 2})
-	got, err := Read(r)
-	if err != nil {
-		t.Fatalf("v2 decode failed (blind spot closed?): %v", err)
-	}
-	if got.Refs[100] == tr.Refs[100] {
-		t.Fatal("flip did not land where expected")
-	}
-
-	// The same flip under v3 framing is caught.
-	var buf3 bytes.Buffer
-	if err := tr.Write(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	off3 := int64(len(magicV3) + headerBytes + 4 + frameBytes + 100*refBytes + 3)
-	r3 := chaos.NewReader(bytes.NewReader(buf3.Bytes()), chaos.Fault{Kind: chaos.FlipBit, Offset: off3, Bit: 2})
-	if _, err := Read(r3); err == nil {
-		t.Fatal("v3 accepted a flipped address bit")
-	}
-}

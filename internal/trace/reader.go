@@ -14,9 +14,9 @@ import (
 
 // Reader streams a serialized trace without materializing the whole
 // reference slice, so multi-gigabyte streams replay in constant memory.
-// It reads both on-disk versions (PIMTRACE2 flat, PIMTRACE3 checksummed
-// chunks) and validates everything it decodes: the header's PE count
-// and layout (and, for v3, its CRC), every chunk's frame and CRC32C,
+// It reads the checksummed PIMTRACE3 format and validates everything it
+// decodes: the header's CRC, PE count and layout, every chunk's frame
+// and CRC32C,
 // and every reference's PE and op byte. A corrupt or torn stream
 // yields a clean error labeled with the byte offset of the damage —
 // never an out-of-range index inside the replay loop, and never a
@@ -24,15 +24,14 @@ import (
 // reference was delivered intact.
 type Reader struct {
 	r       io.Reader
-	version int
 	pes     int
 	layout  mem.Layout
 	n       uint64 // declared ref count
 	read    uint64 // refs delivered so far
 	off     int64  // bytes consumed from r
-	chunks  uint64 // decode batches completed (v3: CRC-verified frames)
-	buf     []byte // raw chunk bytes (frame + payload for v3)
-	pend    []Ref  // v3: decoded refs not yet delivered
+	chunks  uint64 // CRC-verified chunk frames decoded
+	buf     []byte // raw chunk bytes (frame + payload)
+	pend    []Ref  // decoded refs not yet delivered
 	pendBuf []Ref  // backing array for pend, refsPerChunk capacity
 	skipBuf []Ref  // lazily allocated by SkipTo
 
@@ -45,34 +44,27 @@ type Reader struct {
 func (d *Reader) SetProgress(fn func(n int)) { d.progress = fn }
 
 // NewReader reads and validates the stream header, leaving r positioned
-// at the first reference (v2) or chunk frame (v3).
+// at the first chunk frame.
 func NewReader(r io.Reader) (*Reader, error) {
 	d := &Reader{r: r}
 	got := make([]byte, magicLen)
 	if err := d.fill(got); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	switch string(got) {
-	case magicV2:
-		d.version = 2
-	case magicV3:
-		d.version = 3
-	default:
+	if string(got) != magicV3 {
 		return nil, fmt.Errorf("trace: bad magic %q", got)
 	}
 	hdr := make([]byte, headerBytes)
 	if err := d.fill(hdr); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if d.version >= 3 {
-		var crcb [4]byte
-		if err := d.fill(crcb[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading header checksum: %w", err)
-		}
-		if got, want := crc32.Checksum(hdr, castagnoli), binary.LittleEndian.Uint32(crcb[:]); got != want {
-			return nil, fmt.Errorf("trace: header checksum mismatch at byte offset %d (computed %#x, stored %#x)",
-				magicLen, got, want)
-		}
+	var crcb [4]byte
+	if err := d.fill(crcb[:]); err != nil {
+		return nil, fmt.Errorf("trace: reading header checksum: %w", err)
+	}
+	if got, want := crc32.Checksum(hdr, castagnoli), binary.LittleEndian.Uint32(crcb[:]); got != want {
+		return nil, fmt.Errorf("trace: header checksum mismatch at byte offset %d (computed %#x, stored %#x)",
+			magicLen, got, want)
 	}
 	pes := int(binary.LittleEndian.Uint32(hdr[0:]))
 	if pes < 1 || pes > bus.MaxPEs {
@@ -114,15 +106,11 @@ func (d *Reader) PEs() int { return d.pes }
 // Layout reports the header's memory layout.
 func (d *Reader) Layout() mem.Layout { return d.layout }
 
-// Version reports the stream's on-disk format version (2 or 3).
-func (d *Reader) Version() int { return d.version }
-
 // Offset reports the byte offset consumed from the underlying reader —
 // the position error labels refer to.
 func (d *Reader) Offset() int64 { return d.off }
 
-// Chunks reports how many decode batches (v3: CRC-verified chunk
-// frames) have completed.
+// Chunks reports how many CRC-verified chunk frames have been decoded.
 func (d *Reader) Chunks() uint64 { return d.chunks }
 
 // Replayed reports how many references have been delivered so far.
@@ -145,13 +133,7 @@ func (d *Reader) Next(dst []Ref) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	var n int
-	var err error
-	if d.version == 2 {
-		n, err = d.nextV2(dst)
-	} else {
-		n, err = d.nextV3(dst)
-	}
+	n, err := d.nextChunk(dst)
 	if err != nil {
 		return n, err
 	}
@@ -165,47 +147,11 @@ func (d *Reader) Next(dst []Ref) (int, error) {
 	return n, nil
 }
 
-// nextV2 decodes up to one chunk of the flat v2 ref run directly into
-// dst.
-func (d *Reader) nextV2(dst []Ref) (int, error) {
-	remaining := d.n - d.read
-	n := len(dst)
-	if uint64(n) > remaining {
-		n = int(remaining)
-	}
-	if n > refsPerChunk {
-		n = refsPerChunk
-	}
-	start := d.off
-	chunk := d.buf[:n*refBytes]
-	if err := d.fill(chunk); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// The shortfall position distinguishes a clean-but-short
-			// stream (cut at a reference boundary) from a torn final
-			// reference.
-			got := d.off - start
-			lost := got % refBytes
-			if lost != 0 {
-				return 0, fmt.Errorf("trace: torn final reference at byte offset %d (ref %d of %d cut after %d of %d bytes)",
-					d.off-lost, d.read+uint64(got/refBytes), d.n, lost, refBytes)
-			}
-			return 0, fmt.Errorf("trace: stream truncated at byte offset %d (ref %d of %d)",
-				d.off, d.read+uint64(got/refBytes), d.n)
-		}
-		return 0, err
-	}
-	if err := d.decodeRefs(chunk, dst[:n], start); err != nil {
-		return 0, err
-	}
-	d.chunks++
-	return n, nil
-}
-
-// nextV3 delivers pending decoded references, reading and verifying
+// nextChunk delivers pending decoded references, reading and verifying
 // the next chunk frame when none are pending. When dst can hold the
 // whole chunk it is decoded straight into dst (the streaming-replay
 // fast path copies nothing twice).
-func (d *Reader) nextV3(dst []Ref) (int, error) {
+func (d *Reader) nextChunk(dst []Ref) (int, error) {
 	if len(d.pend) > 0 {
 		n := copy(dst, d.pend)
 		d.pend = d.pend[n:]
@@ -379,15 +325,14 @@ func ReplayStream(d *Reader, ports []mem.Accessor) (int, error) {
 
 // VerifyInfo summarizes a verified artifact stream.
 type VerifyInfo struct {
-	Version int    // on-disk format version
-	PEs     int    // header PE count
-	Refs    uint64 // references decoded and validated
-	Chunks  uint64 // decode batches (v3: CRC-verified frames)
-	Bytes   int64  // bytes consumed
+	PEs    int    // header PE count
+	Refs   uint64 // references decoded and validated
+	Chunks uint64 // CRC-verified chunk frames
+	Bytes  int64  // bytes consumed
 }
 
 // Verify stream-validates a serialized trace end to end — header
-// (and its v3 CRC), chunk framing, chunk checksums, and every
+// and its CRC, chunk framing, chunk checksums, and every
 // reference's PE and op — without building a machine or replaying.
 // The first damage fails with the same byte-offset-labeled error a
 // replay would produce.
@@ -407,10 +352,9 @@ func Verify(r io.Reader) (*VerifyInfo, error) {
 		}
 	}
 	return &VerifyInfo{
-		Version: d.version,
-		PEs:     d.pes,
-		Refs:    d.read,
-		Chunks:  d.chunks,
-		Bytes:   d.off,
+		PEs:    d.pes,
+		Refs:   d.read,
+		Chunks: d.chunks,
+		Bytes:  d.off,
 	}, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"strings"
@@ -26,15 +27,33 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-// encodeTraceV2 serializes tr in the legacy flat format, whose fixed
-// byte layout the offset-poking corruption tests rely on.
-func encodeTraceV2(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.WriteVersion(&buf, 2); err != nil {
-		t.Fatal(err)
+// Byte offsets into an encoded stream: the header, and the first
+// reference of the first chunk ([PE, op, addr x4]).
+const (
+	hdrOff  = magicLen
+	ref0Off = magicLen + headerBytes + 4 + frameBytes
+)
+
+// reseal recomputes the header CRC and every chunk CRC of a stream a
+// test has poked, so the poke gets past the checksums and reaches the
+// field validations behind them.
+func reseal(raw []byte) []byte {
+	hdr := raw[hdrOff : hdrOff+headerBytes]
+	binary.LittleEndian.PutUint32(raw[hdrOff+headerBytes:], crc32.Checksum(hdr, castagnoli))
+	for off := hdrOff + headerBytes + 4; off+frameBytes <= len(raw); {
+		plen := int(binary.LittleEndian.Uint32(raw[off:]))
+		payload := raw[off+frameBytes : min(off+frameBytes+plen, len(raw))]
+		binary.LittleEndian.PutUint32(raw[off+4:], crc32.Checksum(payload, castagnoli))
+		off += frameBytes + plen
 	}
-	return buf.Bytes()
+	return raw
+}
+
+// poked returns a resealed copy of raw with f applied.
+func poked(raw []byte, f func(b []byte)) []byte {
+	b := append([]byte(nil), raw...)
+	f(b)
+	return reseal(b)
 }
 
 // readErr runs both decoders (materializing Read and streaming Reader)
@@ -84,51 +103,46 @@ func smallTrace() *Trace {
 
 // TestReaderRejectsCorruptHeader covers the header validations: a PE
 // count of zero or above the bus limit, and a layout wider than the
-// 32-bit address space. The pokes target the unchecksummed v2 layout;
-// the same pokes on v3 are caught earlier by the header CRC (see
-// TestV3HeaderChecksum).
+// 32-bit address space. Each poke is resealed, so it passes the header
+// CRC (TestV3HeaderChecksum covers an unsealed poke).
 func TestReaderRejectsCorruptHeader(t *testing.T) {
-	base := encodeTraceV2(t, smallTrace())
-	hdr := len(magicV2)
+	base := encodeTrace(t, smallTrace())
 
-	zeroPE := append([]byte(nil), base...)
-	binary.LittleEndian.PutUint32(zeroPE[hdr:], 0)
+	zeroPE := poked(base, func(b []byte) { binary.LittleEndian.PutUint32(b[hdrOff:], 0) })
 	readErr(t, "pe=0", zeroPE, "PE count")
 
-	bigPE := append([]byte(nil), base...)
-	binary.LittleEndian.PutUint32(bigPE[hdr:], 200)
+	bigPE := poked(base, func(b []byte) { binary.LittleEndian.PutUint32(b[hdrOff:], 200) })
 	readErr(t, "pe=200", bigPE, "PE count")
 
-	hugeLayout := append([]byte(nil), base...)
-	for off := 4; off <= 20; off += 4 {
-		binary.LittleEndian.PutUint32(hugeLayout[hdr+off:], 0xFFFFFFFF)
-	}
+	hugeLayout := poked(base, func(b []byte) {
+		for off := 4; off <= 20; off += 4 {
+			binary.LittleEndian.PutUint32(b[hdrOff+off:], 0xFFFFFFFF)
+		}
+	})
 	readErr(t, "huge layout", hugeLayout, "address space")
 }
 
 // TestReaderRejectsCorruptRefs covers the per-reference validations: a
-// PE byte at or above the header's count, and an unknown op byte.
+// PE byte at or above the header's count, and an unknown op byte. The
+// chunk CRC is resealed over each poke.
 func TestReaderRejectsCorruptRefs(t *testing.T) {
-	base := encodeTraceV2(t, smallTrace())
-	ref0 := len(magicV2) + headerBytes // first reference: [PE, op, addr x4]
+	base := encodeTrace(t, smallTrace())
 
-	badPE := append([]byte(nil), base...)
-	badPE[ref0] = 9 // header says 4 PEs
+	badPE := poked(base, func(b []byte) { b[ref0Off] = 9 }) // header says 4 PEs
 	readErr(t, "bad ref PE", badPE, "out of range")
 
-	badOp := append([]byte(nil), base...)
-	badOp[ref0+1] = 0xEE
+	badOp := poked(base, func(b []byte) { b[ref0Off+1] = 0xEE })
 	readErr(t, "bad ref op", badOp, "unknown op")
 }
 
 // TestReadHugeDeclaredCount pins the preallocation guard: a header
-// declaring 2^40 references over an empty body must fail with a
+// declaring 2^40 references over a one-chunk body must fail with a
 // truncation error without first attempting a multi-terabyte
 // allocation.
 func TestReadHugeDeclaredCount(t *testing.T) {
-	base := encodeTraceV2(t, smallTrace())
-	raw := append([]byte(nil), base...)
-	binary.LittleEndian.PutUint64(raw[len(magicV2)+24:], 1<<40)
+	raw := poked(encodeTrace(t, smallTrace()), func(b []byte) {
+		binary.LittleEndian.PutUint64(b[hdrOff+24:], 1<<40)
+	})
 	readErr(t, "huge count", raw, "truncated")
 }
 
@@ -144,7 +158,7 @@ func TestReadAllocationTracksVerifiedData(t *testing.T) {
 	for i := range tr.Refs {
 		tr.Refs[i] = Ref{PE: uint8(i % 4), Op: cache.Op(i % int(cache.NumOps)), Addr: word.Addr(i % 100)}
 	}
-	raw := encodeTraceV2(t, tr)
+	raw := encodeTrace(t, tr)
 	refsBytes := uint64(len(tr.Refs)) * uint64(unsafe.Sizeof(Ref{}))
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -168,8 +182,7 @@ func TestReadAllocationTracksVerifiedData(t *testing.T) {
 		t.Errorf("reading %d refs (%d bytes) allocated %d bytes, want at most twice that", len(tr.Refs), refsBytes, n)
 	}
 
-	huge := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(huge[len(magicV2)+24:], 1<<40)
+	huge := poked(raw, func(b []byte) { binary.LittleEndian.PutUint64(b[hdrOff+24:], 1<<40) })
 	n = allocated(func() { _, err = Read(bytes.NewReader(huge)) })
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("Read of a stream declaring 2^40 refs: err = %v, want a truncation error", err)
@@ -181,12 +194,8 @@ func TestReadAllocationTracksVerifiedData(t *testing.T) {
 }
 
 // TestReaderTruncatedMidStream checks both decoders report the cut
-// position instead of returning a short stream, in both formats.
+// position instead of returning a short stream.
 func TestReaderTruncatedMidStream(t *testing.T) {
-	rawV2 := encodeTraceV2(t, smallTrace())
-	readErr(t, "v2 truncated", rawV2[:len(rawV2)-5], "torn final reference")
-	readErr(t, "v2 truncated at ref boundary", rawV2[:len(rawV2)-2*refBytes], "truncated at byte offset")
-
 	rawV3 := encodeTrace(t, smallTrace())
 	readErr(t, "v3 torn payload", rawV3[:len(rawV3)-5], "torn chunk")
 	readErr(t, "v3 missing chunk", rawV3[:len(magicV3)+headerBytes+4], "next chunk missing")
@@ -240,69 +249,66 @@ func TestV3RejectsOversizedChunk(t *testing.T) {
 	}
 }
 
-// TestBothVersionsRoundTrip pins that every written version reads back
-// identically and reports its version.
+// legacyV2 encodes tr in the retired PIMTRACE2 layout: magic, header,
+// then a flat run of unchecksummed refs.
+func legacyV2(tr *Trace) []byte {
+	raw := append([]byte("PIMTRACE2\n"), tr.header()...)
+	for i := range tr.Refs {
+		raw = encodeRef(raw, &tr.Refs[i])
+	}
+	return raw
+}
+
+// TestBothVersionsRoundTrip pins that the written format (v3) reads back
+// identically, and that a stream in the retired v2 format, which has no
+// checksums, is rejected at the magic instead of decoded.
 func TestBothVersionsRoundTrip(t *testing.T) {
 	tr := largeSyntheticTrace(refsPerChunk*2 + 33)
-	for _, version := range []int{2, 3} {
-		var buf bytes.Buffer
-		if err := tr.WriteVersion(&buf, version); err != nil {
-			t.Fatalf("v%d Write: %v", version, err)
+	got, err := Read(bytes.NewReader(encodeTrace(t, tr)))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if got.PEs != tr.PEs || got.Len() != tr.Len() || got.Layout != tr.Layout {
+		t.Fatalf("header mismatch: %d/%d %+v", got.PEs, got.Len(), got.Layout)
+	}
+	for i := range tr.Refs {
+		if got.Refs[i] != tr.Refs[i] {
+			t.Fatalf("ref %d: %+v != %+v", i, got.Refs[i], tr.Refs[i])
 		}
-		d, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d NewReader: %v", version, err)
-		}
-		if d.Version() != version {
-			t.Errorf("Version() = %d, want %d", d.Version(), version)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d Read: %v", version, err)
-		}
-		if got.PEs != tr.PEs || got.Len() != tr.Len() || got.Layout != tr.Layout {
-			t.Fatalf("v%d header mismatch: %d/%d %+v", version, got.PEs, got.Len(), got.Layout)
-		}
-		for i := range tr.Refs {
-			if got.Refs[i] != tr.Refs[i] {
-				t.Fatalf("v%d ref %d: %+v != %+v", version, i, got.Refs[i], tr.Refs[i])
-			}
-		}
+	}
+
+	readErr(t, "v2 stream", legacyV2(tr), "bad magic")
+	if _, err := Verify(bytes.NewReader(legacyV2(tr))); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("Verify of a v2 stream: %v, want bad magic", err)
 	}
 }
 
 // TestReaderSmallDst checks Next with a destination smaller than a
-// chunk: the v3 pending buffer must deliver every ref exactly once.
+// chunk: the pending buffer must deliver every ref exactly once.
 func TestReaderSmallDst(t *testing.T) {
 	tr := largeSyntheticTrace(refsPerChunk + 77)
-	for _, version := range []int{2, 3} {
-		var buf bytes.Buffer
-		if err := tr.WriteVersion(&buf, version); err != nil {
-			t.Fatal(err)
+	d, err := NewReader(bytes.NewReader(encodeTrace(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Ref
+	dst := make([]Ref, 100) // not a divisor of refsPerChunk
+	for {
+		n, err := d.Next(dst)
+		got = append(got, dst[:n]...)
+		if err == io.EOF {
+			break
 		}
-		d, err := NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Next: %v", err)
 		}
-		var got []Ref
-		dst := make([]Ref, 100) // not a divisor of refsPerChunk
-		for {
-			n, err := d.Next(dst)
-			got = append(got, dst[:n]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("v%d Next: %v", version, err)
-			}
-		}
-		if len(got) != tr.Len() {
-			t.Fatalf("v%d delivered %d refs, want %d", version, len(got), tr.Len())
-		}
-		for i := range got {
-			if got[i] != tr.Refs[i] {
-				t.Fatalf("v%d ref %d: %+v != %+v", version, i, got[i], tr.Refs[i])
-			}
+	}
+	if len(got) != tr.Len() {
+		t.Fatalf("delivered %d refs, want %d", len(got), tr.Len())
+	}
+	for i := range got {
+		if got[i] != tr.Refs[i] {
+			t.Fatalf("ref %d: %+v != %+v", i, got[i], tr.Refs[i])
 		}
 	}
 }
@@ -384,7 +390,7 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Verify clean stream: %v", err)
 	}
-	if info.Version != 3 || info.PEs != tr.PEs || info.Refs != uint64(tr.Len()) || info.Chunks != 2 || info.Bytes != int64(len(raw)) {
+	if info.PEs != tr.PEs || info.Refs != uint64(tr.Len()) || info.Chunks != 2 || info.Bytes != int64(len(raw)) {
 		t.Errorf("VerifyInfo %+v (stream: %d refs, %d bytes)", info, tr.Len(), len(raw))
 	}
 
@@ -397,15 +403,6 @@ func TestVerify(t *testing.T) {
 	torn := raw[:len(raw)-4]
 	if _, err := Verify(bytes.NewReader(torn)); err == nil || !strings.Contains(err.Error(), "torn chunk") {
 		t.Errorf("Verify torn stream: %v", err)
-	}
-
-	v2 := encodeTraceV2(t, tr)
-	info, err = Verify(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("Verify v2 stream: %v", err)
-	}
-	if info.Version != 2 || info.Refs != uint64(tr.Len()) {
-		t.Errorf("v2 VerifyInfo %+v", info)
 	}
 }
 
@@ -465,25 +462,5 @@ func TestReplayStreamMatchesReplay(t *testing.T) {
 	}
 	if c1, c2 := m1.CacheStats(), m2.CacheStats(); c1 != c2 {
 		t.Errorf("cache stats diverge\nmaterialized: %+v\nstreamed:     %+v", c1, c2)
-	}
-}
-
-// TestPackValidation pins Pack's pre-replay validation: out-of-range PEs
-// and unknown ops must be rejected, since the packed replay loop indexes
-// and dispatches without rechecking.
-func TestPackValidation(t *testing.T) {
-	tr := smallTrace()
-	if _, err := Pack(tr); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-	badPE := smallTrace()
-	badPE.Refs[7].PE = 4
-	if _, err := Pack(badPE); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("bad PE accepted: %v", err)
-	}
-	badOp := smallTrace()
-	badOp.Refs[3].Op = cache.NumOps
-	if _, err := Pack(badOp); err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Errorf("bad op accepted: %v", err)
 	}
 }

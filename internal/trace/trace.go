@@ -255,38 +255,31 @@ func replayGenericRefs(refs []Ref, ports []mem.Accessor, base int) error {
 
 // --- serialization ---
 
-// The on-disk trace format is versioned by its magic string:
-//
-//	PIMTRACE2: magic, 32-byte header, then a flat run of 6-byte refs.
-//	           No checksums — a flipped bit in an address is invisible.
-//	PIMTRACE3: magic, 32-byte header, 4-byte CRC32C of the header, then
-//	           CRC32C-framed chunks: each chunk is an 8-byte frame
-//	           (payload length, payload CRC32C) followed by up to
-//	           refsPerChunk refs of payload. Any torn tail, flipped bit
-//	           or mangled frame is detected with a byte-offset-labeled
-//	           error before a single corrupt reference reaches a replay.
-//
-// Write produces version 3; Read/NewReader accept both.
+// The on-disk trace format (PIMTRACE3) is: magic, 32-byte header,
+// 4-byte CRC32C of the header, then CRC32C-framed chunks. Each chunk is
+// an 8-byte frame (payload length, payload CRC32C) followed by up to
+// refsPerChunk refs of payload. Any torn tail, flipped bit or mangled
+// frame is detected with a byte-offset-labeled error before a single
+// corrupt reference reaches a replay. Any other magic, including that of
+// the older unchecksummed format, fails NewReader's magic check.
 const (
-	magicV2 = "PIMTRACE2\n"
-	magicV3 = "PIMTRACE3\n"
-	// magicLen is shared by both versions (and by checkpoints' sniffing).
+	magicV3  = "PIMTRACE3\n"
 	magicLen = len(magicV3)
 )
 
-// FormatVersion is the trace format Write produces.
+// FormatVersion is the trace format Write produces and Read accepts.
 const FormatVersion = 3
 
 // refBytes is the on-disk size of one reference: PE, op, and four
 // little-endian address bytes.
 const refBytes = 6
 
-// refsPerChunk sizes the serialization buffers and the v3 chunk
+// refsPerChunk sizes the serialization buffers and the chunk
 // framing: one Write/Read syscall moves up to this many references,
 // and one CRC covers at most this much payload.
 const refsPerChunk = 4096
 
-// frameBytes is the v3 per-chunk frame: u32 payload length, u32
+// frameBytes is the per-chunk frame: u32 payload length, u32
 // CRC32C of the payload.
 const frameBytes = 8
 
@@ -304,7 +297,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // type can never silently truncate traces on disk.
 func addrEncodable(a uint64) bool { return a <= 0xFFFFFFFF }
 
-// header assembles the fixed 32-byte header shared by both versions.
+// header assembles the fixed 32-byte header.
 func (t *Trace) header() []byte {
 	hdr := make([]byte, headerBytes)
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(t.PEs))
@@ -323,51 +316,10 @@ func encodeRef(buf []byte, ref *Ref) []byte {
 		byte(ref.Addr), byte(ref.Addr>>8), byte(ref.Addr>>16), byte(ref.Addr>>24))
 }
 
-// Write serializes the trace in the current format (version 3:
-// checksummed chunk framing). It fails — rather than corrupt the
-// stream — if any address exceeds the 32-bit on-disk format.
+// Write serializes the trace (format version 3: checksummed chunk
+// framing). It fails — rather than corrupt the stream — if any address
+// exceeds the 32-bit on-disk format.
 func (t *Trace) Write(w io.Writer) error {
-	return t.WriteVersion(w, FormatVersion)
-}
-
-// WriteVersion serializes the trace in an explicit format version.
-// Version 2 exists for compatibility tests and for producing streams
-// older builds can read; everything else should use Write.
-func (t *Trace) WriteVersion(w io.Writer, version int) error {
-	switch version {
-	case 2:
-		return t.writeV2(w)
-	case 3:
-		return t.writeV3(w)
-	}
-	return fmt.Errorf("trace: unknown format version %d", version)
-}
-
-func (t *Trace) writeV2(w io.Writer) error {
-	if _, err := io.WriteString(w, magicV2); err != nil {
-		return err
-	}
-	if _, err := w.Write(t.header()); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, refBytes*refsPerChunk)
-	for i := range t.Refs {
-		ref := &t.Refs[i]
-		if !addrEncodable(uint64(ref.Addr)) {
-			return fmt.Errorf("trace: ref %d: address %#x exceeds the 32-bit on-disk format", i, uint64(ref.Addr))
-		}
-		buf = encodeRef(buf, ref)
-		if len(buf) == cap(buf) || i == len(t.Refs)-1 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	return nil
-}
-
-func (t *Trace) writeV3(w io.Writer) error {
 	if _, err := io.WriteString(w, magicV3); err != nil {
 		return err
 	}

@@ -67,7 +67,9 @@ func replayToManifest(t *testing.T, data []byte, digest string, ccfg cache.Confi
 // TestManifestDeterminismMatrix is the manifest determinism oracle: two
 // replays of the same trace and configuration produce byte-identical
 // manifests once the timing block is stripped — across every protocol,
-// with bus filters on or off, with and without a data plane.
+// with and without a data plane. Subtest names keep their
+// "filtersOff=false" segment, the one value left since the bus filters
+// became unconditional, so results stay comparable across versions.
 func TestManifestDeterminismMatrix(t *testing.T) {
 	_, data, digest := manifestTrace(t)
 	protocols := []struct {
@@ -79,40 +81,37 @@ func TestManifestDeterminismMatrix(t *testing.T) {
 		{cache.ProtocolWriteThrough, cache.OptionsNone()},
 	}
 	for _, pc := range protocols {
-		for _, filtersOff := range []bool{false, true} {
-			for _, statsOnly := range []bool{false, true} {
-				name := fmt.Sprintf("%s/filtersOff=%v/statsOnly=%v", pc.proto, filtersOff, statsOnly)
-				t.Run(name, func(t *testing.T) {
-					ccfg := cache.DefaultConfig()
-					ccfg.Options = pc.opts
-					ccfg.Protocol = pc.proto
-					ccfg.DisableBusFilters = filtersOff
-					ccfg.StatsOnly = statsOnly
+		for _, statsOnly := range []bool{false, true} {
+			name := fmt.Sprintf("%s/filtersOff=false/statsOnly=%v", pc.proto, statsOnly)
+			t.Run(name, func(t *testing.T) {
+				ccfg := cache.DefaultConfig()
+				ccfg.Options = pc.opts
+				ccfg.Protocol = pc.proto
+				ccfg.StatsOnly = statsOnly
 
-					a := replayToManifest(t, data, digest, ccfg, "stream")
-					b := replayToManifest(t, data, digest, ccfg, "stream")
-					aj, err := a.DeterministicJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					bj, err := b.DeterministicJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(aj, bj) {
-						t.Errorf("two replays produced different deterministic manifests:\n%s\n----\n%s", aj, bj)
-					}
-					if a.Key() != b.Key() || a.StatsKey() != b.StatsKey() {
-						t.Error("repeat runs disagree on manifest keys")
-					}
-				})
-			}
+				a := replayToManifest(t, data, digest, ccfg, "stream")
+				b := replayToManifest(t, data, digest, ccfg, "stream")
+				aj, err := a.DeterministicJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				bj, err := b.DeterministicJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(aj, bj) {
+					t.Errorf("two replays produced different deterministic manifests:\n%s\n----\n%s", aj, bj)
+				}
+				if a.Key() != b.Key() || a.StatsKey() != b.StatsKey() {
+					t.Error("repeat runs disagree on manifest keys")
+				}
+			})
 		}
 	}
 }
 
 // TestManifestStatsKeyAcrossEngineKnobs: the engine knobs that provably
-// do not change statistics (filters, stats-only) share a StatsKey with
+// do not change statistics (stats-only) share a StatsKey with
 // the plain configuration, and their Stats sections agree — so
 // pimreport's determinism check binds all engine modes together.
 func TestManifestStatsKeyAcrossEngineKnobs(t *testing.T) {
@@ -123,9 +122,6 @@ func TestManifestStatsKeyAcrossEngineKnobs(t *testing.T) {
 	plain := replayToManifest(t, data, digest, base, "stream")
 
 	variants := map[string]cache.Config{}
-	noFilters := base
-	noFilters.DisableBusFilters = true
-	variants["filtersOff"] = noFilters
 	so := base
 	so.StatsOnly = true
 	variants["statsOnly"] = so
@@ -168,8 +164,8 @@ func statsSection(t *testing.T, m *obs.Manifest) []byte {
 }
 
 // TestPerPEStatsAcrossReplayModes pins per-PE equivalence, stronger
-// than the aggregate oracles: every replay engine (streaming, packed,
-// stats-only) leaves each individual PE cache with identical
+// than the aggregate oracles: every replay engine (streaming,
+// in-memory stats-only) leaves each individual PE cache with identical
 // statistics, via machine.PerPECacheStats.
 func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 	tr, data, _ := manifestTrace(t)
@@ -207,20 +203,6 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 		t.Fatal("PerPECacheStats does not sum to CacheStats")
 	}
 
-	// Packed replay.
-	mPacked, _ := newMachine(base)
-	p, err := trace.Pack(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caches := make([]*cache.Cache, tr.PEs)
-	for i := range caches {
-		caches[i] = mPacked.Cache(i)
-	}
-	if err := p.Replay(caches); err != nil {
-		t.Fatal(err)
-	}
-
 	// Stats-only replay (no data plane).
 	soCfg := base
 	soCfg.StatsOnly = true
@@ -229,15 +211,13 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, m := range map[string]*machine.Machine{"packed": mPacked, "statsonly": mSO} {
-		got := m.PerPECacheStats()
-		for pe := range want {
-			if got[pe] != want[pe] {
-				t.Errorf("%s: PE %d stats differ from streaming replay", name, pe)
-			}
+	got := mSO.PerPECacheStats()
+	for pe := range want {
+		if got[pe] != want[pe] {
+			t.Errorf("statsonly: PE %d stats differ from streaming replay", pe)
 		}
-		if m.BusStats() != mStream.BusStats() {
-			t.Errorf("%s: bus stats differ from streaming replay", name)
-		}
+	}
+	if mSO.BusStats() != mStream.BusStats() {
+		t.Error("statsonly: bus stats differ from streaming replay")
 	}
 }
