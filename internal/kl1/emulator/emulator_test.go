@@ -341,3 +341,21 @@ add(A, B, R) :- wait(A), wait(B) | R := A + B.
 		t.Errorf("coherence: %v", err)
 	}
 }
+
+// TestGoalRecordRecycleZeroAlloc pins the record push to no host
+// allocation: the engine's direct-write accessor is built once, so
+// recycling a record does not box a fresh one into mem.Accessor.
+func TestGoalRecordRecycleZeroAlloc(t *testing.T) {
+	cl, _ := run(t, "main :- true | println(hi).", 1)
+	e := cl.Engines[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		rec, ok := e.goalFL.Alloc(e.acc)
+		if !ok {
+			t.Fatal("goal free list empty")
+		}
+		e.goalFL.Push(e.dw, rec)
+	})
+	if allocs != 0 {
+		t.Errorf("goal record alloc/push allocated %v times per round trip, want 0", allocs)
+	}
+}

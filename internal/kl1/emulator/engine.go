@@ -28,6 +28,10 @@ type Engine struct {
 	pe  int
 	sh  *Shared
 	acc mem.Accessor
+	// dw is acc with plain writes turned into direct writes, for pushing
+	// records onto the free lists. It is built once so that a push does
+	// not box a fresh dwAccessor into the interface.
+	dw mem.Accessor
 
 	heap   *mem.Bump
 	goalFL *mem.FreeList
@@ -73,7 +77,8 @@ type Engine struct {
 }
 
 // NewEngine builds PE pe's engine over its cache port and attaches per-PE
-// allocators (free lists are initialized directly in memory: boot time).
+// allocators. It writes no simulated memory: the free lists link their
+// records lazily, as they are pushed back.
 func NewEngine(sh *Shared, pe int, acc mem.Accessor) (*Engine, error) {
 	if err := sh.commCapacity(); err != nil {
 		return nil, err
@@ -89,6 +94,7 @@ func NewEngine(sh *Shared, pe int, acc mem.Accessor) (*Engine, error) {
 		pe:        pe,
 		sh:        sh,
 		acc:       acc,
+		dw:        dwAccessor{acc},
 		heap:      heap,
 		goalFL:    mem.NewFreeList(sh.Mem, gLo, gHi, GoalRecordWords),
 		suspFL:    mem.NewFreeList(sh.Mem, sLo, sHi, SuspRecordWords),

@@ -112,7 +112,7 @@ func (e *Engine) dequeueGoal() {
 	for i := 0; i < arity; i++ {
 		e.regs[i] = e.fixVar(rec+goalArgsOff+word.Addr(i), words[goalArgsOff+i])
 	}
-	e.goalFL.Push(dwAccessor{e.acc}, rec)
+	e.goalFL.Push(e.dw, rec)
 	if compile.IsBuiltin(procIdx) {
 		e.builtinProc = procIdx
 		e.builtinArity = arity
@@ -289,7 +289,7 @@ func (e *Engine) receiveGoal(rec word.Addr) {
 	for i := 0; i < arity; i++ {
 		e.regs[i] = e.fixVar(rec+goalArgsOff+word.Addr(i), words[goalArgsOff+i])
 	}
-	e.goalFL.Push(dwAccessor{e.acc}, rec)
+	e.goalFL.Push(e.dw, rec)
 	e.stats.GoalsStolen++
 	if compile.IsBuiltin(procIdx) {
 		e.builtinProc = procIdx

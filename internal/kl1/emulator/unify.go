@@ -283,7 +283,7 @@ func (e *Engine) wakeHooks(head word.Addr) {
 			// record is recycled.
 			e.acc.Write(g+goalStatusOff, status)
 		}
-		e.suspFL.Push(dwAccessor{e.acc}, s)
+		e.suspFL.Push(e.dw, s)
 		if next.Tag() == word.TagSusp {
 			s = next.Addr()
 		} else {

@@ -108,55 +108,86 @@ func (b *Bump) Reset() { b.Next = b.Base }
 // Records are block-aligned when recordWords is a multiple of the cache
 // block size, which lets the runtime create records with DW and consume
 // them with ER as described in Section 2.3 of the paper.
+//
+// The list is linked lazily. It is a stack of recycled records on top of
+// the range [next, end) of records never handed out. That range behaves
+// as if it were linked in ascending address order, without its links ever
+// being written: allocating from it reads the link word exactly as a
+// linked list would (so the reference stream is the same), and a pushed
+// record is linked to next when the stack is empty, which is the word an
+// eagerly linked list holds there. Only a memory image can tell the two
+// apart: the link word of a record never allocated reads zero.
 type FreeList struct {
 	recordWords int
-	head        word.Addr // NilAddr when empty
-	free        int
+	head        word.Addr // top of the recycled stack when recycled > 0
+	recycled    int       // records on the stack
+	next, end   word.Addr // records never handed out
 	capacity    int
 }
 
-// NewFreeList carves [base, limit) into records of recordWords words and
-// links them through memory directly (initialization is system boot, not
-// program execution, so it is not routed through a cache port).
+// NewFreeList carves [base, limit) of m into records of recordWords words.
+// It writes no memory: a record's link word is first written when the
+// record is pushed back.
 func NewFreeList(m *Memory, base, limit word.Addr, recordWords int) *FreeList {
 	if recordWords < 1 {
 		panic(fmt.Sprintf("mem: record size %d too small", recordWords))
 	}
 	n := int(limit-base) / recordWords
-	fl := &FreeList{recordWords: recordWords, free: n, capacity: n}
-	fl.head = word.NilAddr
-	// Link records last-to-first so allocation proceeds from low
-	// addresses upward, which keeps early records block-contiguous.
-	for i := n - 1; i >= 0; i-- {
-		rec := base + word.Addr(i*recordWords)
-		m.Write(rec, word.Free(fl.head))
-		fl.head = rec
+	if n > 0 {
+		m.check(base, n*recordWords)
 	}
-	return fl
+	return &FreeList{
+		recordWords: recordWords,
+		head:        word.NilAddr,
+		next:        base,
+		end:         base + word.Addr(n*recordWords),
+		capacity:    n,
+	}
 }
 
 // RecordWords reports the record size.
 func (fl *FreeList) RecordWords() int { return fl.recordWords }
 
 // Free reports how many records are available.
-func (fl *FreeList) Free() int { return fl.free }
+func (fl *FreeList) Free() int {
+	return fl.recycled + int(fl.end-fl.next)/fl.recordWords
+}
 
 // Capacity reports the total number of records.
 func (fl *FreeList) Capacity() int { return fl.capacity }
 
+// top is the record Alloc hands out next, or NilAddr when none is left.
+func (fl *FreeList) top() word.Addr {
+	switch {
+	case fl.recycled > 0:
+		return fl.head
+	case fl.next < fl.end:
+		return fl.next
+	}
+	return word.NilAddr
+}
+
 // Alloc pops a record, reading its link word through acc. ok is false
-// when the list is empty.
+// when the list is empty. A recycled record's link must be a Free word;
+// a record never handed out must still read zero.
 func (fl *FreeList) Alloc(acc Accessor) (a word.Addr, ok bool) {
-	if fl.head == word.NilAddr {
+	a = fl.top()
+	if a == word.NilAddr {
 		return 0, false
 	}
-	a = fl.head
 	link := acc.Read(a)
-	if link.Tag() != word.TagFree {
+	if fl.recycled > 0 {
+		if link.Tag() != word.TagFree {
+			panic(fmt.Sprintf("mem: free list corrupted at %#x: %v", a, link))
+		}
+		fl.head = link.Addr()
+		fl.recycled--
+		return a, true
+	}
+	if link != 0 {
 		panic(fmt.Sprintf("mem: free list corrupted at %#x: %v", a, link))
 	}
-	fl.head = link.Addr()
-	fl.free--
+	fl.next += word.Addr(fl.recordWords)
 	return a, true
 }
 
@@ -165,7 +196,7 @@ func (fl *FreeList) Alloc(acc Accessor) (a word.Addr, ok bool) {
 // migrate between PEs during load balancing and are freed to the
 // consumer's list.
 func (fl *FreeList) Push(acc Accessor, a word.Addr) {
-	acc.Write(a, word.Free(fl.head))
+	acc.Write(a, word.Free(fl.top()))
 	fl.head = a
-	fl.free++
+	fl.recycled++
 }
