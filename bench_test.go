@@ -437,10 +437,10 @@ func BenchmarkReplayThroughput(b *testing.B) {
 // what the bus presence filters exploit: each snoop and lock poll costs
 // O(actual holders), not O(PEs). The sharded mode replays the same trace
 // partitioned by cache set across every available core
-// (bench.ReplayConfigSharded), and the statsonly mode drops the data
-// plane (cache.Config.StatsOnly). All modes produce bit-identical
-// statistics (the sharded and stats-only equivalence oracles pin this).
-// docs/eval_snapshot.txt records the measured speedups.
+// (bench.ReplayConfigSharded). Both modes are stats-only, as every
+// replay is, and produce bit-identical statistics (the sharded
+// equivalence oracle pins this). docs/eval_snapshot.txt records the
+// measured speedups.
 func BenchmarkReplayPEs(b *testing.B) {
 	for _, pes := range []int{1, 4, 8, 16} {
 		sc := synth.DefaultConfig()
@@ -448,16 +448,13 @@ func BenchmarkReplayPEs(b *testing.B) {
 		sc.Events = 200_000
 		tr := synth.ORParallel(sc)
 		for _, mode := range []struct {
-			name      string
-			shards    int
-			statsOnly bool
+			name   string
+			shards int
 		}{
 			{name: "filtered"},
 			{name: "sharded", shards: runtime.GOMAXPROCS(0)},
-			{name: "statsonly", statsOnly: true},
 		} {
 			cfg := bench.BaseCache(cache.OptionsAll())
-			cfg.StatsOnly = mode.statsOnly
 			b.Run(fmt.Sprintf("pes=%d/%s", pes, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error

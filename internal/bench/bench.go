@@ -67,14 +67,6 @@ type Options struct {
 	// the flag on or off (the warmed-determinism oracle pins this); the
 	// flag only removes redundant prefix work.
 	WarmedSweeps bool
-	// StatsOnly runs every replay job with the data plane compiled out
-	// (cache.Config.StatsOnly): no cache data arrays, no memory words, no
-	// fetch-buffer copies. Statistics and probe streams are bit-identical
-	// to the data-carrying path (the stats-only equivalence oracle pins
-	// this); the flag only removes data movement. Live runs are
-	// unaffected — they record with a data-carrying configuration, since
-	// program execution consumes the values.
-	StatsOnly bool
 	// Phases, when non-nil, collects per-phase wall times (live runs,
 	// replays) for the run manifest. Nil disables timing at zero cost —
 	// every obs handle is nil-safe.
@@ -269,15 +261,7 @@ func ReplayConfig(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (bus.St
 // trace was recorded from under the same configuration (scheduler
 // events excepted: a replay has no scheduler).
 func ReplayConfigProbed(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats, error) {
-	mcfg := machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	if sink != nil {
-		m.SetProbe(sink)
-	}
-	ports := make([]mem.Accessor, tr.PEs)
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
+	m, ports := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, sink)
 	if err := trace.Replay(tr, ports); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
@@ -290,20 +274,35 @@ func ReplayConfigProbed(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, s
 // references were replayed. A non-nil sink receives the memory-system
 // event stream exactly as ReplayConfigProbed delivers it.
 func ReplayReader(d *trace.Reader, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats, int, error) {
-	mcfg := machine.Config{PEs: d.PEs(), Layout: d.Layout(), Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
+	out, err := ReplayReaderResumable(context.Background(), d, ccfg, timing, sink, CheckpointOptions{}, nil)
+	if err != nil {
+		var n int
+		if out != nil {
+			n = int(out.Refs)
+		}
+		return bus.Stats{}, cache.Stats{}, n, err
+	}
+	return out.Bus, out.Cache, int(out.Refs), nil
+}
+
+// newReplayMachine builds the machine every trace replay runs on, plus
+// its ports. Replay is stats-only by construction, whatever
+// ccfg.StatsOnly says: a replay drives the cache ports and never reads
+// a value back (DESIGN.md §11), so the machine carries no data plane —
+// no cache data arrays, no memory words, no memory image in its
+// checkpoints. Live runs and the coherence checker, which consume
+// values, build data-carrying machines themselves.
+func newReplayMachine(pes int, layout mem.Layout, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (*machine.Machine, []mem.Accessor) {
+	ccfg.StatsOnly = true
+	m := machine.New(machine.Config{PEs: pes, Layout: layout, Cache: ccfg, Timing: timing})
 	if sink != nil {
 		m.SetProbe(sink)
 	}
-	ports := make([]mem.Accessor, d.PEs())
+	ports := make([]mem.Accessor, pes)
 	for i := range ports {
 		ports[i] = m.Port(i)
 	}
-	n, err := trace.ReplayStream(d, ports)
-	if err != nil {
-		return bus.Stats{}, cache.Stats{}, n, err
-	}
-	return m.BusStats(), m.CacheStats(), n, nil
+	return m, ports
 }
 
 // SweepPoint is one configuration point of a Figure 1/2 sweep.
@@ -602,7 +601,6 @@ func mergeDefaults(o Options) Options {
 	d.Progress = o.Progress
 	d.Jobs = o.Jobs
 	d.WarmedSweeps = o.WarmedSweeps
-	d.StatsOnly = o.StatsOnly
 	d.Phases = o.Phases
 	d.Metrics = o.Metrics
 	d.Context = o.Context

@@ -8,7 +8,6 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/machine"
-	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 	"pimcache/internal/trace"
 )
@@ -72,15 +71,7 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 		write = func(s *machine.Snapshot) error { return s.WriteFile(ck.Path) }
 	}
 
-	mcfg := machine.Config{PEs: d.PEs(), Layout: d.Layout(), Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	if sink != nil {
-		m.SetProbe(sink)
-	}
-	ports := make([]mem.Accessor, d.PEs())
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
+	m, ports := newReplayMachine(d.PEs(), d.Layout(), ccfg, timing, sink)
 	cr, err := trace.NewChunkReplayer(d.PEs(), ports)
 	if err != nil {
 		return nil, err
@@ -90,6 +81,9 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 	if resume != nil {
 		if resume.RefsReplayed < 0 {
 			return nil, fmt.Errorf("bench: resume snapshot has negative replay position %d", resume.RefsReplayed)
+		}
+		if !resume.Config.Cache.StatsOnly {
+			return nil, fmt.Errorf("bench: resume: checkpoint carries a data plane (written by a data-carrying replay); replay is stats-only, so rerun from the start")
 		}
 		if err := m.Restore(resume); err != nil {
 			return nil, fmt.Errorf("bench: resume: %w", err)

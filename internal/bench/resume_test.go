@@ -14,6 +14,7 @@ import (
 	"pimcache/internal/cache"
 	"pimcache/internal/chaos"
 	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/safeio"
 	"pimcache/internal/synth"
 	"pimcache/internal/trace"
@@ -43,32 +44,32 @@ func newStreamReader(t testing.TB, raw []byte) *trace.Reader {
 	return d
 }
 
-// resumeConfigs are the protocol × stats-only points the resume oracle
-// and chaos matrix cover.
+// resumeConfigs are the protocols the resume oracle covers.
 func resumeConfigs() []cache.Config {
 	var cfgs []cache.Config
 	for _, proto := range []cache.Protocol{
 		cache.ProtocolPIM, cache.ProtocolIllinois, cache.ProtocolWriteThrough,
 	} {
-		for _, statsOnly := range []bool{false, true} {
-			ccfg := cache.DefaultConfig()
-			ccfg.Options = cache.OptionsAll()
-			ccfg.Protocol = proto
-			ccfg.StatsOnly = statsOnly
-			cfgs = append(cfgs, ccfg)
-		}
+		ccfg := cache.DefaultConfig()
+		ccfg.Options = cache.OptionsAll()
+		ccfg.Protocol = proto
+		cfgs = append(cfgs, ccfg)
 	}
 	return cfgs
 }
 
+// configLabel names a resume subtest. The "statsOnly=true" segment is
+// the one value left since every replay became stats-only, kept so
+// results stay comparable across versions.
 func configLabel(ccfg cache.Config) string {
-	return fmt.Sprintf("%v/statsOnly=%v", ccfg.Protocol, ccfg.StatsOnly)
+	return fmt.Sprintf("%v/statsOnly=true", ccfg.Protocol)
 }
 
 // TestResumeBitIdentical is the tentpole oracle: a replay killed at a
 // checkpoint and resumed from the durable snapshot finishes with
 // bus and cache statistics bit-identical to the uninterrupted run —
-// across all three protocols, with and without the data plane.
+// across all three protocols. The checkpoint carries no memory image:
+// replay is stats-only.
 func TestResumeBitIdentical(t *testing.T) {
 	_, raw := resumeWorkload(t, 30_000)
 	timing := bus.DefaultTiming()
@@ -96,6 +97,9 @@ func TestResumeBitIdentical(t *testing.T) {
 			snap, err := machine.ReadSnapshotFile(ckpt)
 			if err != nil {
 				t.Fatalf("reading checkpoint: %v", err)
+			}
+			if !snap.Config.Cache.StatsOnly || len(snap.Memory) != 0 {
+				t.Errorf("checkpoint carries a data plane (%d memory words)", len(snap.Memory))
 			}
 			// Checkpoints land on chunk boundaries at or after the cadence:
 			// two checkpoints of Every=7000 over 4096-ref chunks → 16384.
@@ -168,9 +172,12 @@ func TestResumeCancellation(t *testing.T) {
 }
 
 // TestResumeRejectsConfigMismatch: resuming under a different cache
-// configuration than the checkpoint's must fail loudly.
+// configuration than the checkpoint's must fail loudly. So must a
+// data-carrying checkpoint (what replay wrote before it became
+// stats-only): it differs from every replay machine in StatsOnly, and
+// it must fail with the labeled resume error, not a panic.
 func TestResumeRejectsConfigMismatch(t *testing.T) {
-	_, raw := resumeWorkload(t, 10_000)
+	tr, raw := resumeWorkload(t, 10_000)
 	ccfg := cache.DefaultConfig()
 	timing := bus.DefaultTiming()
 	var captured *machine.Snapshot
@@ -186,6 +193,32 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 		other, timing, nil, CheckpointOptions{}, captured); err == nil {
 		t.Fatal("resume into mismatched configuration succeeded")
 	}
+
+	t.Run("data-carrying checkpoint", func(t *testing.T) {
+		m := machine.New(machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: timing})
+		ports := make([]mem.Accessor, tr.PEs)
+		for i := range ports {
+			ports[i] = m.Port(i)
+		}
+		if err := trace.ReplayRange(tr, ports, 0, 4096); err != nil {
+			t.Fatal(err)
+		}
+		snap := m.Checkpoint()
+		snap.RefsReplayed = 4096
+		ckpt := filepath.Join(t.TempDir(), "data.ckpt")
+		if err := snap.WriteFile(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		old, err := machine.ReadSnapshotFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReplayReaderResumable(context.Background(), newStreamReader(t, raw),
+			ccfg, timing, nil, CheckpointOptions{}, old)
+		if err == nil || !strings.HasPrefix(err.Error(), "bench: resume: ") || !strings.Contains(err.Error(), "data plane") {
+			t.Fatalf("resume from a data-carrying checkpoint: err=%v, want a \"bench: resume: \" error naming the data plane", err)
+		}
+	})
 }
 
 // TestChaosMatrixResume drives the full replay+checkpoint+resume path

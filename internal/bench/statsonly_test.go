@@ -2,11 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 	"pimcache/internal/synth"
 	"pimcache/internal/trace"
@@ -36,15 +39,75 @@ func sameEvents(t *testing.T, label string, data, statsOnly []probe.Event) {
 	}
 }
 
-// statsOnlyProtocols is the replay matrix the stats-only oracle runs.
-var statsOnlyProtocols = []struct {
-	name  string
-	opts  cache.Options
-	proto cache.Protocol
-}{
-	{"pim", cache.OptionsAll(), cache.ProtocolPIM},
-	{"illinois", cache.OptionsNone(), cache.ProtocolIllinois},
-	{"writethrough", cache.OptionsNone(), cache.ProtocolWriteThrough},
+// statsOnlyCase is one (configuration, timing) point of the stats-only
+// oracle's matrix.
+type statsOnlyCase struct {
+	name   string
+	cfg    cache.Config
+	timing bus.Timing
+}
+
+// statsOnlyCases is the replay matrix the stats-only oracle runs on
+// every workload: one configuration per replay-protocol family.
+func statsOnlyCases() []statsOnlyCase {
+	var cases []statsOnlyCase
+	for _, p := range []struct {
+		name  string
+		opts  cache.Options
+		proto cache.Protocol
+	}{
+		{"pim", cache.OptionsAll(), cache.ProtocolPIM},
+		{"illinois", cache.OptionsNone(), cache.ProtocolIllinois},
+		{"writethrough", cache.OptionsNone(), cache.ProtocolWriteThrough},
+	} {
+		cfg := BaseCache(p.opts)
+		cfg.Protocol = p.proto
+		cases = append(cases, statsOnlyCase{p.name, cfg, bus.DefaultTiming()})
+	}
+	return cases
+}
+
+// collectCases is every configuration Collect replays at its default
+// options (the paper's full evaluation): the stats-only oracle runs all
+// of them on the live-recorded stream.
+func collectCases() []statsOnlyCase {
+	var cases []statsOnlyCase
+	for i, k := range DefaultOptions().replayKeys() {
+		cases = append(cases, statsOnlyCase{fmt.Sprintf("collect-key-%d", i), k.cfg, k.timing})
+	}
+	return cases
+}
+
+// dataReplay is the data-carrying reference the stats-only oracles
+// compare against: a machine with the data plane (StatsOnly false)
+// driven by trace.Replay. Every public replay entry point is
+// stats-only by construction, so this helper is the only place a
+// data-carrying replay still runs.
+func dataReplay(t testing.TB, tr *trace.Trace, c statsOnlyCase, sink probe.Sink) (bus.Stats, cache.Stats) {
+	t.Helper()
+	cfg := c.cfg
+	cfg.StatsOnly = false
+	m := machine.New(machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: cfg, Timing: c.timing})
+	if sink != nil {
+		m.SetProbe(sink)
+	}
+	ports := make([]mem.Accessor, tr.PEs)
+	for i := range ports {
+		ports[i] = m.Port(i)
+	}
+	if err := trace.Replay(tr, ports); err != nil {
+		t.Fatalf("%s: data-carrying replay: %v", c.name, err)
+	}
+	return m.BusStats(), m.CacheStats()
+}
+
+// orParallelWorkload is the synthetic stream the single-path oracles
+// replay.
+func orParallelWorkload(pes, events int) *trace.Trace {
+	sc := synth.DefaultConfig()
+	sc.PEs = pes
+	sc.Events = events
+	return synth.ORParallel(sc)
 }
 
 // statsOnlyTraces returns the oracle's workloads: one live-recorded
@@ -69,60 +132,49 @@ func statsOnlyTraces(t *testing.T) map[string]*trace.Trace {
 }
 
 // TestStatsOnlyEquivalence is the tentpole oracle: replaying any stream
-// with the data plane removed must yield bit-identical bus statistics,
-// cache statistics, and probe event streams to the data-carrying replay,
-// for every protocol.
+// through ReplayConfigProbed, which is stats-only whatever the
+// configuration says, must yield bit-identical bus statistics, cache
+// statistics and probe event streams to the data-carrying reference,
+// for every protocol — and, on the live-recorded stream, for every
+// configuration Collect replays.
 func TestStatsOnlyEquivalence(t *testing.T) {
 	for trName, tr := range statsOnlyTraces(t) {
-		tr := tr
+		trName, tr := trName, tr
 		t.Run(trName, func(t *testing.T) {
 			t.Parallel()
-			for _, p := range statsOnlyProtocols {
-				cfg := BaseCache(p.opts)
-				cfg.Protocol = p.proto
-
+			cases := statsOnlyCases()
+			if trName == "puzzle" {
+				cases = append(cases, collectCases()...)
+			}
+			for _, c := range cases {
 				var dataLog eventLog
-				bsData, csData, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &dataLog)
-				if err != nil {
-					t.Fatalf("%s: data-carrying replay: %v", p.name, err)
-				}
-
-				so := cfg
-				so.StatsOnly = true
+				bsData, csData := dataReplay(t, tr, c, &dataLog)
 				var soLog eventLog
-				bsSO, csSO, err := ReplayConfigProbed(tr, so, bus.DefaultTiming(), &soLog)
+				bsSO, csSO, err := ReplayConfigProbed(tr, c.cfg, c.timing, &soLog)
 				if err != nil {
-					t.Fatalf("%s: stats-only replay: %v", p.name, err)
+					t.Fatalf("%s: stats-only replay: %v", c.name, err)
 				}
-
 				if bsData != bsSO {
-					t.Errorf("%s: bus stats diverge\ndata:       %+v\nstats-only: %+v", p.name, bsData, bsSO)
+					t.Errorf("%s: bus stats diverge\ndata:       %+v\nstats-only: %+v", c.name, bsData, bsSO)
 				}
 				if csData != csSO {
-					t.Errorf("%s: cache stats diverge\ndata:       %+v\nstats-only: %+v", p.name, csData, csSO)
+					t.Errorf("%s: cache stats diverge\ndata:       %+v\nstats-only: %+v", c.name, csData, csSO)
 				}
-				sameEvents(t, p.name, dataLog.events, soLog.events)
+				sameEvents(t, c.name, dataLog.events, soLog.events)
 			}
 		})
 	}
 }
 
 // TestStatsOnlyReaderEquivalence pins the streaming path: serializing a
-// trace and replaying it straight from the decoder — stats-only, with a
-// probe attached — must reproduce the materialized data-carrying replay's
-// statistics and event stream.
+// trace and replaying it straight from the decoder with a probe
+// attached must reproduce the data-carrying reference's statistics and
+// event stream.
 func TestStatsOnlyReaderEquivalence(t *testing.T) {
-	sc := synth.DefaultConfig()
-	sc.PEs = 8
-	sc.Events = 30_000
-	tr := synth.ORParallel(sc)
-	cfg := BaseCache(cache.OptionsAll())
-
+	tr := orParallelWorkload(8, 30_000)
+	c := statsOnlyCases()[0]
 	var dataLog eventLog
-	bsData, csData, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &dataLog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bsData, csData := dataReplay(t, tr, c, &dataLog)
 
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -132,10 +184,8 @@ func TestStatsOnlyReaderEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so := cfg
-	so.StatsOnly = true
 	var soLog eventLog
-	bs, cs, n, err := ReplayReader(d, so, bus.DefaultTiming(), &soLog)
+	bs, cs, n, err := ReplayReader(d, c.cfg, c.timing, &soLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,107 +193,63 @@ func TestStatsOnlyReaderEquivalence(t *testing.T) {
 		t.Errorf("streamed %d refs, trace has %d", n, tr.Len())
 	}
 	if bs != bsData {
-		t.Errorf("bus stats diverge\nmaterialized: %+v\nstreamed:     %+v", bsData, bs)
+		t.Errorf("bus stats diverge\ndata:     %+v\nstreamed: %+v", bsData, bs)
 	}
 	if cs != csData {
-		t.Errorf("cache stats diverge\nmaterialized: %+v\nstreamed:     %+v", csData, cs)
+		t.Errorf("cache stats diverge\ndata:     %+v\nstreamed: %+v", csData, cs)
 	}
 	sameEvents(t, "streamed", dataLog.events, soLog.events)
 }
 
-// TestStatsOnlySharded pins the sharded replay path in stats-only mode
-// against the unsharded data-carrying replay.
+// TestStatsOnlySharded pins the sharded replay path against the
+// unsharded data-carrying reference.
 func TestStatsOnlySharded(t *testing.T) {
-	sc := synth.DefaultConfig()
-	sc.PEs = 8
-	sc.Events = 30_000
-	tr := synth.ORParallel(sc)
-	cfg := BaseCache(cache.OptionsAll())
-	bsData, csData, err := ReplayConfig(tr, cfg, bus.DefaultTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := cfg
-	so.StatsOnly = true
-	bs, cs, err := ReplayConfigSharded(tr, so, bus.DefaultTiming(), 4)
+	tr := orParallelWorkload(8, 30_000)
+	c := statsOnlyCases()[0]
+	bsData, csData := dataReplay(t, tr, c, nil)
+	bs, cs, err := ReplayConfigSharded(tr, c.cfg, c.timing, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bs != bsData {
-		t.Errorf("bus stats diverge\nunsharded data:    %+v\nsharded stats-only: %+v", bsData, bs)
+		t.Errorf("bus stats diverge\nunsharded data: %+v\nsharded:        %+v", bsData, bs)
 	}
 	if cs != csData {
-		t.Errorf("cache stats diverge\nunsharded data:    %+v\nsharded stats-only: %+v", csData, cs)
+		t.Errorf("cache stats diverge\nunsharded data: %+v\nsharded:        %+v", csData, cs)
 	}
 }
 
-// TestStatsOnlyWarmed pins the warmed-checkpoint path in stats-only mode:
-// a stats-only machine checkpointed mid-replay and resumed must land on
-// the data-carrying cold replay's exact statistics.
+// TestStatsOnlyWarmed pins the warmed-checkpoint path: a machine
+// checkpointed mid-replay and resumed must land on the data-carrying
+// reference's exact statistics, and its checkpoint must carry no
+// memory image.
 func TestStatsOnlyWarmed(t *testing.T) {
-	sc := synth.DefaultConfig()
-	sc.PEs = 4
-	sc.Events = 20_000
-	tr := synth.ORParallel(sc)
-	cfg := BaseCache(cache.OptionsAll())
-	bsData, csData, err := ReplayConfig(tr, cfg, bus.DefaultTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := cfg
-	so.StatsOnly = true
+	tr := orParallelWorkload(4, 20_000)
+	c := statsOnlyCases()[0]
+	bsData, csData := dataReplay(t, tr, c, nil)
 	wc := NewWarmCache(tr.Len() / 2)
-	wc.Register(so, bus.DefaultTiming())
-	wc.Register(so, bus.DefaultTiming())
+	wc.Register(c.cfg, c.timing)
+	wc.Register(c.cfg, c.timing)
 	for i := 0; i < 2; i++ {
-		bs, cs, err := wc.Replay(tr, so, bus.DefaultTiming())
+		bs, cs, err := wc.Replay(tr, c.cfg, c.timing)
 		if err != nil {
 			t.Fatalf("warmed replay %d: %v", i, err)
 		}
+		if i == 0 {
+			snap := wc.entries[warmKey{c.cfg, c.timing}].snap
+			if snap == nil {
+				t.Fatal("first warmed replay published no snapshot")
+			}
+			if !snap.Config.Cache.StatsOnly || len(snap.Memory) != 0 {
+				t.Errorf("warm snapshot carries a data plane (%d memory words)", len(snap.Memory))
+			}
+		}
 		if bs != bsData {
-			t.Errorf("replay %d: bus stats diverge\ncold data: %+v\nwarmed:    %+v", i, bsData, bs)
+			t.Errorf("replay %d: bus stats diverge\ndata:   %+v\nwarmed: %+v", i, bsData, bs)
 		}
 		if cs != csData {
-			t.Errorf("replay %d: cache stats diverge\ncold data: %+v\nwarmed:    %+v", i, csData, cs)
+			t.Errorf("replay %d: cache stats diverge\ndata:   %+v\nwarmed: %+v", i, csData, cs)
 		}
-	}
-}
-
-// TestStatsOnlyCollectRenderAll runs a reduced but structurally complete
-// evaluation (live sweep, variants, sweeps, baselines) with replays in
-// stats-only warmed mode and requires byte-identical rendered tables:
-// the flag must change memory use, never a number.
-func TestStatsOnlyCollectRenderAll(t *testing.T) {
-	old := quickScales["Puzzle"]
-	quickScales["Puzzle"] = 2
-	defer func() { quickScales["Puzzle"] = old }()
-
-	o := Options{
-		Quick:           true,
-		PEs:             4,
-		PESweep:         []int{1, 2, 4},
-		BlockSizes:      []int{2, 4},
-		Capacities:      []int{1 << 10, 4 << 10},
-		Associativities: []int{1, 4},
-		Benchmarks:      []string{"Puzzle"},
-		Jobs:            1,
-	}
-	data, err := Collect(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.StatsOnly = true
-	o.WarmedSweeps = true // exercise stats-only checkpoints too
-	statsOnly, err := Collect(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := RenderAll(statsOnly), RenderAll(data)
-	if len(want) == 0 {
-		t.Fatal("rendered evaluation is empty")
-	}
-	if got != want {
-		t.Errorf("stats-only evaluation differs from data-carrying\n--- data ---\n%s\n--- stats-only ---\n%s", want, got)
 	}
 }
 

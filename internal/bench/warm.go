@@ -6,7 +6,6 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/machine"
-	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/trace"
 )
@@ -46,7 +45,7 @@ type WarmCache struct {
 type warmEntry struct {
 	// expected counts registrations; snapshots are taken only for keys
 	// expected more than once (a lone replay gains nothing and a
-	// checkpoint costs a memory-image copy).
+	// checkpoint copies every cache's state, tag and LRU planes).
 	expected int
 	// remaining counts replays still to come; the snapshot is released
 	// when it reaches zero so checkpoint memory is bounded by the live
@@ -105,7 +104,7 @@ func (wc *WarmCache) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timin
 	e.computing = true
 	wc.mu.Unlock()
 
-	m, ports := newReplayMachine(tr, ccfg, timing)
+	m, ports := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, nil)
 	if err := trace.ReplayRange(tr, ports, 0, wc.warmRefs); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
@@ -125,7 +124,7 @@ func (wc *WarmCache) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timin
 
 // replayFromSnapshot resumes a replay from a warmed checkpoint.
 func replayFromSnapshot(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, snap *machine.Snapshot) (bus.Stats, cache.Stats, error) {
-	m, ports := newReplayMachine(tr, ccfg, timing)
+	m, ports := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, nil)
 	if err := m.Restore(snap); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
@@ -135,44 +134,24 @@ func replayFromSnapshot(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, s
 	return m.BusStats(), m.CacheStats(), nil
 }
 
-// newReplayMachine builds the machine a replay of tr runs on, plus its
-// ports.
-func newReplayMachine(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (*machine.Machine, []mem.Accessor) {
-	mcfg := machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	ports := make([]mem.Accessor, tr.PEs)
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
-	return m, ports
-}
-
 // replayer routes a benchmark's replay jobs either cold (ReplayConfig) or
-// through a shared WarmCache when Options.WarmedSweeps is set, and stamps
-// Options.StatsOnly onto every job's configuration.
+// through a shared WarmCache when Options.WarmedSweeps is set.
 type replayer struct {
-	warm      *WarmCache
-	statsOnly bool
-	metrics   *obs.Registry
+	warm    *WarmCache
+	metrics *obs.Registry
 }
 
 // newReplayer builds the per-benchmark replayer: with warmed sweeps on it
 // registers every replay configuration the sweep will request, so the
 // warm cache knows which configurations recur and deserve a checkpoint.
-// Registration applies the same StatsOnly stamp Replay does — warm keys
-// are exact configuration matches, so the two must agree.
 func (o Options) newReplayer(traceLen int) *replayer {
-	r := &replayer{statsOnly: o.StatsOnly, metrics: o.Metrics}
+	r := &replayer{metrics: o.Metrics}
 	if !o.WarmedSweeps {
 		return r
 	}
 	wc := NewWarmCache(traceLen / 2)
 	for _, k := range o.replayKeys() {
-		cfg := k.cfg
-		if r.statsOnly {
-			cfg.StatsOnly = true
-		}
-		wc.Register(cfg, k.timing)
+		wc.Register(k.cfg, k.timing)
 	}
 	r.warm = wc
 	return r
@@ -182,9 +161,6 @@ func (o Options) newReplayer(traceLen int) *replayer {
 func (r *replayer) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (bus.Stats, cache.Stats, error) {
 	r.metrics.Counter("bench.replay.jobs").Inc()
 	r.metrics.Counter("bench.replay.refs").Add(uint64(tr.Len()))
-	if r.statsOnly {
-		ccfg.StatsOnly = true
-	}
 	if r.warm != nil {
 		return r.warm.Replay(tr, ccfg, timing)
 	}

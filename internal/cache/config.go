@@ -139,9 +139,9 @@ type Config struct {
 	// addresses, directory states and lock state — never on stored
 	// values (DESIGN.md §11) — so cache.Stats, bus.Stats and probe event
 	// streams are bit-identical to the data-carrying path. Trace replay
-	// writes zeros and discards reads anyway, which makes stats-only the
-	// natural replay mode; machines that must return real values (live
-	// FGHC runs) refuse to run with it set.
+	// writes zeros and discards reads anyway, so every replay in
+	// internal/bench sets it; machines that must return real values
+	// (live FGHC runs) refuse to run with it set.
 	StatsOnly bool
 }
 

@@ -29,8 +29,7 @@ const SchemaVersion = 1
 // The deterministic/timing split is the load-bearing invariant:
 // DeterministicJSON strips Timing and the result is byte-identical for
 // two runs of the same trace and configuration (the manifest
-// determinism oracle pins this across protocols, filters and
-// stats-only). pimreport's regression gate therefore checks the two
+// determinism oracle pins this across protocols). pimreport's regression gate therefore checks the two
 // halves differently — exact match for the deterministic sections, a
 // tolerance band around a median for throughput.
 type Manifest struct {
@@ -65,7 +64,6 @@ type RunConfig struct {
 	Options       string `json:"options,omitempty"`
 	BusWidthWords int    `json:"bus_width_words,omitempty"`
 	MemCycles     int    `json:"mem_cycles,omitempty"`
-	StatsOnly     bool   `json:"stats_only,omitempty"`
 	Mode          string `json:"mode,omitempty"`
 	Shards        int    `json:"shards,omitempty"`
 }
@@ -84,7 +82,6 @@ func NewRunConfig(pes int, ccfg cache.Config, timing bus.Timing, optsName, mode 
 		Options:       optsName,
 		BusWidthWords: timing.WidthWords,
 		MemCycles:     timing.MemCycles,
-		StatsOnly:     ccfg.StatsOnly,
 		Mode:          mode,
 		Shards:        shards,
 	}
@@ -265,7 +262,7 @@ func (m *Manifest) Key() string {
 
 // StatsKey identifies the *simulated outcome*: like Key, but with the
 // scenario label and the replay-engine knobs that provably do not
-// change statistics (Mode, Shards, StatsOnly) cleared.
+// change statistics (Mode, Shards) cleared.
 // Manifests sharing a StatsKey must agree bit for bit on their Stats
 // section even when they took different engine paths — the free
 // cross-mode, cross-host determinism oracle.
@@ -273,7 +270,6 @@ func (m *Manifest) StatsKey() string {
 	cfg := m.Config
 	cfg.Mode = ""
 	cfg.Shards = 0
-	cfg.StatsOnly = false
 	return digestKey(keyFields{Config: cfg, Trace: m.Trace, Workload: m.Workload})
 }
 

@@ -61,13 +61,12 @@ func TestKeyAndStatsKey(t *testing.T) {
 	sharded := testManifest("sharded")
 	sharded.Scenario = "replay-sharded-8pe"
 	sharded.Config.Shards = 2
-	sharded.Config.StatsOnly = true
 
 	if stream.Key() == sharded.Key() {
 		t.Fatal("different scenario/mode must produce different Keys")
 	}
 	if stream.StatsKey() != sharded.StatsKey() {
-		t.Fatal("mode/shards/statsonly/scenario must not affect StatsKey")
+		t.Fatal("mode/shards/scenario must not affect StatsKey")
 	}
 
 	// A genuinely different machine must split the StatsKey.

@@ -82,13 +82,13 @@ func TestDiffDeterminismViolation(t *testing.T) {
 	}
 }
 
-// TestDiffCrossMode: sharded/stats-only runs share a StatsKey with the
+// TestDiffCrossMode: sharded runs share a StatsKey with the
 // stream run, so their stats are compared (and must match); their Keys
 // differ, so throughput is not gated between them.
 func TestDiffCrossMode(t *testing.T) {
 	a := mkManifest("s", "stream", 20, nil)
 	b := mkManifest("s2", "sharded", 30, func(m *obs.Manifest) {
-		m.Config.StatsOnly = true
+		m.Config.Shards = 4
 	})
 	d, err := DiffManifests(a, b)
 	if err != nil {

@@ -268,8 +268,8 @@ func (d *Reader) SkipTo(target uint64) error {
 
 // ChunkReplayer drives decoded reference chunks through a fixed set of
 // ports, devirtualizing once (not per chunk) when every port is a
-// concrete *cache.Cache. It is the building block shared by
-// ReplayStream and the checkpoint-resume loop in internal/bench.
+// concrete *cache.Cache. It is the building block of the streaming
+// replay loop in internal/bench.
 type ChunkReplayer struct {
 	ports  []mem.Accessor
 	caches []*cache.Cache
@@ -293,34 +293,6 @@ func (cr *ChunkReplayer) Replay(refs []Ref, base int) error {
 		return replayRefs(refs, cr.caches, base)
 	}
 	return replayGenericRefs(refs, cr.ports, base)
-}
-
-// ReplayStream replays every remaining reference of d through ports in
-// chunks, never materializing the full stream. It returns the number of
-// references replayed. Ports must match the stream's PE count, as in
-// Replay; the layout the ports were built with must equal d.Layout().
-func ReplayStream(d *Reader, ports []mem.Accessor) (int, error) {
-	cr, err := NewChunkReplayer(d.pes, ports)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]Ref, refsPerChunk)
-	total := 0
-	for {
-		n, err := d.Next(buf)
-		if n > 0 {
-			if rerr := cr.Replay(buf[:n], total); rerr != nil {
-				return total, rerr
-			}
-			total += n
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
 }
 
 // VerifyInfo summarizes a verified artifact stream.

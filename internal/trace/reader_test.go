@@ -12,7 +12,6 @@ import (
 
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/word"
-	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 )
 
@@ -416,51 +415,5 @@ func TestReaderHeader(t *testing.T) {
 	}
 	if d.PEs() != tr.PEs || d.Layout() != tr.Layout || d.Len() != uint64(tr.Len()) {
 		t.Errorf("header mismatch: %d PEs, %+v, %d refs", d.PEs(), d.Layout(), d.Len())
-	}
-}
-
-// TestReplayStreamMatchesReplay pins the chunked streaming replay
-// against the materialized replay on a real recorded workload.
-func TestReplayStreamMatchesReplay(t *testing.T) {
-	_, tr := traceCluster(t, testProgram, 2, cache.OptionsAll())
-	raw := encodeTrace(t, tr)
-
-	newMachine := func() (*machine.Machine, []mem.Accessor) {
-		mcfg := machine.Config{
-			PEs: tr.PEs, Layout: tr.Layout,
-			Cache: cache.Config{SizeWords: 1 << 10, BlockWords: 4, Ways: 4,
-				LockEntries: 4, Options: cache.OptionsAll(), VerifyDW: true},
-		}
-		mcfg.Timing.MemCycles = 8
-		mcfg.Timing.WidthWords = 1
-		m := machine.New(mcfg)
-		ports := make([]mem.Accessor, tr.PEs)
-		for i := range ports {
-			ports[i] = m.Port(i)
-		}
-		return m, ports
-	}
-
-	m1, ports1 := newMachine()
-	if err := Replay(tr, ports1); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, ports2 := newMachine()
-	n, err := ReplayStream(d, ports2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != tr.Len() {
-		t.Errorf("streamed %d refs, trace has %d", n, tr.Len())
-	}
-	if b1, b2 := m1.BusStats(), m2.BusStats(); b1 != b2 {
-		t.Errorf("bus stats diverge\nmaterialized: %+v\nstreamed:     %+v", b1, b2)
-	}
-	if c1, c2 := m1.CacheStats(), m2.CacheStats(); c1 != c2 {
-		t.Errorf("cache stats diverge\nmaterialized: %+v\nstreamed:     %+v", c1, c2)
 	}
 }

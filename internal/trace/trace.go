@@ -369,7 +369,7 @@ const maxPrealloc = 1 << 20
 
 // Read deserializes a trace written by Write, validating the header and
 // every reference (see NewReader). For streams too large to materialize,
-// use NewReader with Next or ReplayStream instead.
+// use NewReader with Next (bench.ReplayReader streams a replay).
 //
 // References are decoded straight into the result's spare capacity.
 // When it fills, the capacity doubles, never past the header's declared
