@@ -12,6 +12,7 @@ package pimcache
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -273,6 +274,82 @@ func BenchmarkCacheReadHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Read(base + word.Addr(i&3))
 	}
+}
+
+// mixedAreaStream returns n addresses whose areas follow the recorded
+// Puzzle trace's mix (49% inst, 22% heap, 20% goal, 7% comm, 3% susp),
+// in a seeded random order that a branch predictor cannot learn. Each
+// area draws from 48 blocks, and in the default layout (every area base
+// in the same set) each of the 240 blocks has a set of the base cache
+// to itself, so all of them stay resident.
+func mixedAreaStream(bd mem.Bounds, n int) []word.Addr {
+	shares := []struct {
+		base word.Addr
+		pct  int
+	}{{bd.InstBase, 49}, {bd.HeapBase, 22}, {bd.GoalBase, 20}, {bd.CommBase, 7}, {bd.SuspBase, 3}}
+	rng := rand.New(rand.NewSource(1))
+	out := make([]word.Addr, n)
+	for i := range out {
+		p, j := rng.Intn(100), 0
+		for p >= shares[j].pct {
+			p -= shares[j].pct
+			j++
+		}
+		blk := word.Addr(j*48 + rng.Intn(48))
+		out[i] = shares[j].base + blk*4 + word.Addr(rng.Intn(4))
+	}
+	return out
+}
+
+// BenchmarkCacheReadHitMixed is the read-hit path over mixedAreaStream.
+// BenchmarkCacheReadHit reads one heap block, so every reference takes
+// the same area and the branch predictor hides the cost of classifying
+// it; here it cannot.
+func BenchmarkCacheReadHitMixed(b *testing.B) {
+	m := mem.New(mem.DefaultLayout())
+	bsys := bus.New(bus.Config{Timing: bus.DefaultTiming(), BlockWords: 4}, m)
+	c := cache.New(cache.DefaultConfig(), 0, bsys)
+	stream := mixedAreaStream(m.Bounds(), 1<<12)
+	for _, a := range stream {
+		c.Read(a)
+	}
+	warm := c.Stats().Misses[cache.OpR]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(stream[i&(len(stream)-1)])
+	}
+	b.StopTimer()
+	if miss := c.Stats().Misses[cache.OpR] - warm; miss != 0 {
+		b.Fatalf("%d misses after warm-up; the stream must be all hits", miss)
+	}
+}
+
+// areaCounts keeps BenchmarkAreaOf's classifications live.
+var areaCounts [mem.NumAreas]int
+
+// BenchmarkAreaOf compares the two area classifiers over
+// mixedAreaStream, counting each reference under its area as the cache
+// does: the compare chain (mem.Bounds.AreaOf) and the table the
+// simulator uses (mem.AreaMap).
+func BenchmarkAreaOf(b *testing.B) {
+	bd := mem.DefaultLayout().Bounds()
+	stream := mixedAreaStream(bd, 1<<12)
+	mask := len(stream) - 1
+	b.Run("chain", func(b *testing.B) {
+		var n [mem.NumAreas]int
+		for i := 0; i < b.N; i++ {
+			n[bd.AreaOf(stream[i&mask])]++
+		}
+		areaCounts = n
+	})
+	b.Run("table", func(b *testing.B) {
+		areas := mem.NewAreaMap(bd)
+		var n [mem.NumAreas]int
+		for i := 0; i < b.N; i++ {
+			n[areas.Of(stream[i&mask])]++
+		}
+		areaCounts = n
+	})
 }
 
 // BenchmarkCacheCoherenceMiss measures the two-cache transfer path.

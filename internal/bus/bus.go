@@ -296,10 +296,9 @@ type Bus struct {
 	timing     Timing
 	blockWords int
 	memory     *mem.Memory
-	// bounds is the memory's area map, copied in so account's
-	// per-transaction area attribution is a static, inlinable call
-	// instead of an indirect one through a func value.
-	bounds    mem.Bounds
+	// areas is the memory's area table, copied in so account's
+	// per-transaction area attribution is one inlined table load.
+	areas     mem.AreaMap
 	snoopers  []Snooper
 	lockUnits []LockUnit
 	stats     Stats
@@ -382,7 +381,7 @@ func New(cfg Config, memory *mem.Memory) *Bus {
 		timing:         cfg.Timing,
 		blockWords:     cfg.BlockWords,
 		memory:         memory,
-		bounds:         memory.Bounds(),
+		areas:          memory.Areas(),
 		poison:         cfg.PoisonFetchData,
 		statsOnly:      cfg.StatsOnly,
 		presence:       make([][]uint64, (blocks+presencePageLen-1)/presencePageLen),
@@ -605,7 +604,7 @@ func (b *Bus) emitAborted(requester int, addr word.Addr, cmd uint8, withLock boo
 func (b *Bus) account(p Pattern, a word.Addr) uint64 {
 	cy := b.cycleTab[p]
 	b.stats.TotalCycles += cy
-	b.stats.CyclesByArea[b.bounds.AreaOf(a)] += cy
+	b.stats.CyclesByArea[b.areas.Of(a)] += cy
 	b.stats.CyclesByPattern[p] += cy
 	b.stats.CountByPattern[p]++
 	// The fetch or lone write-back occupies the memory module once

@@ -29,10 +29,9 @@ type Cache struct {
 	cfg Config
 	pe  int
 	bus *bus.Bus
-	// bounds is the shared memory's area map, copied in so the
-	// per-reference area classification is a static, inlinable call
-	// instead of an indirect one through a func value.
-	bounds mem.Bounds
+	// areas is the shared memory's area table, copied in so each entry
+	// point classifies its reference with one inlined table load.
+	areas mem.AreaMap
 
 	// SoA planes, indexed by frame = setIndex*ways + way. data is nil
 	// when the cache runs stats-only (noData): coherence never reads it,
@@ -119,7 +118,7 @@ func New(cfg Config, pe int, b *bus.Bus) *Cache {
 		cfg:        cfg,
 		pe:         pe,
 		bus:        b,
-		bounds:     b.Memory().Bounds(),
+		areas:      b.Memory().Areas(),
 		states:     make([]State, frames),
 		bases:      make([]word.Addr, frames),
 		tags:       make([]uint64, frames),
@@ -356,14 +355,20 @@ func (c *Cache) fetchInto(a word.Addr, inval bool) int {
 	return victim
 }
 
-// readInternal is the plain-read path shared by R and the degraded forms
-// of ER/RP/RI. It records hit/miss under op.
+// readInternal is the plain-read path of the degraded forms of
+// ER/RP/RI. It records hit/miss under op. Read runs the same hit path in
+// its own frame.
 func (c *Cache) readInternal(a word.Addr, op Op) word.Word {
 	if f := c.lookup(a); f >= 0 {
 		c.stats.Hits[op]++
 		c.touch(f)
 		return c.loadWord(f, a)
 	}
+	return c.readMiss(a, op)
+}
+
+// readMiss is the out-of-line miss half of a plain read.
+func (c *Cache) readMiss(a word.Addr, op Op) word.Word {
 	c.miss(a, op)
 	f := c.fetchInto(a, false)
 	return c.loadWord(f, a)
@@ -454,31 +459,45 @@ func (c *Cache) updateShared(f int, a word.Addr, w word.Word) {
 	}
 }
 
-func (c *Cache) countRef(a word.Addr, op Op) mem.Area {
-	area := c.bounds.AreaOf(a)
-	c.stats.Refs[area][op]++
-	if c.probe != nil {
-		// The reference advances the probe clock by one cycle (the cache
-		// access itself), so the clock keeps moving through hit-only
-		// phases; disabled runs never tick.
-		c.bus.Tick()
-		c.probe.Emit(probe.Event{
-			Kind: probe.KindRef, Cycle: c.bus.ProbeClock(), PE: int16(c.pe),
-			Addr: a, A: uint8(op),
-		})
-	}
-	return area
+// Every entry point below starts by counting its reference under its
+// area and op, with the area from one inlined table load, and then
+// calls emitRef when a probe is attached. The count is written out in
+// each entry point rather than in a helper: a helper that also emits
+// is over the inlining budget, so it would cost a call per reference.
+
+// emitRef reports a reference to the probe. The reference advances the
+// probe clock by one cycle (the cache access itself), so the clock keeps
+// moving through hit-only phases; disabled runs never tick.
+func (c *Cache) emitRef(a word.Addr, op Op) {
+	c.bus.Tick()
+	c.probe.Emit(probe.Event{
+		Kind: probe.KindRef, Cycle: c.bus.ProbeClock(), PE: int16(c.pe),
+		Addr: a, A: uint8(op),
+	})
 }
 
-// Read implements the R operation.
+// Read implements the R operation. The hit path (lookup, LRU touch,
+// word load) runs in this frame with no call; the miss path is
+// readMiss.
 func (c *Cache) Read(a word.Addr) word.Word {
-	c.countRef(a, OpR)
-	return c.readInternal(a, OpR)
+	c.stats.Refs[c.areas.Of(a)][OpR]++
+	if c.probe != nil {
+		c.emitRef(a, OpR)
+	}
+	if f := c.lookup(a); f >= 0 {
+		c.stats.Hits[OpR]++
+		c.touch(f)
+		return c.loadWord(f, a)
+	}
+	return c.readMiss(a, OpR)
 }
 
 // Write implements the W operation (copy-back, fetch-on-write).
 func (c *Cache) Write(a word.Addr, w word.Word) {
-	c.countRef(a, OpW)
+	c.stats.Refs[c.areas.Of(a)][OpW]++
+	if c.probe != nil {
+		c.emitRef(a, OpW)
+	}
 	c.writeInternal(a, w, OpW)
 }
 
@@ -488,7 +507,11 @@ func (c *Cache) Write(a word.Addr, w word.Word) {
 // W, exactly as in Section 3.2(1). Software guarantees no remote cache
 // holds the target block; Config.VerifyDW checks that contract.
 func (c *Cache) DirectWrite(a word.Addr, w word.Word) {
-	area := c.countRef(a, OpDW)
+	area := c.areas.Of(a)
+	c.stats.Refs[area][OpDW]++
+	if c.probe != nil {
+		c.emitRef(a, OpDW)
+	}
 	c.directWrite(a, w, area)
 }
 
@@ -561,7 +584,11 @@ func (c *Cache) directWrite(a word.Addr, w word.Word, area mem.Area) {
 // purges the local copy after reading (read-purge); (iii) otherwise it is
 // a plain R.
 func (c *Cache) ExclusiveRead(a word.Addr) word.Word {
-	area := c.countRef(a, OpER)
+	area := c.areas.Of(a)
+	c.stats.Refs[area][OpER]++
+	if c.probe != nil {
+		c.emitRef(a, OpER)
+	}
 	return c.exclusiveRead(a, area)
 }
 
@@ -611,7 +638,11 @@ func (c *Cache) exclusiveRead(a word.Addr, area mem.Area) word.Word {
 // transferred, the supplier invalidated, and nothing is installed locally
 // (the fetched block is "forcibly purged after the RP operation").
 func (c *Cache) ReadPurge(a word.Addr) word.Word {
-	area := c.countRef(a, OpRP)
+	area := c.areas.Of(a)
+	c.stats.Refs[area][OpRP]++
+	if c.probe != nil {
+		c.emitRef(a, OpRP)
+	}
 	return c.readPurge(a, area)
 }
 
@@ -658,7 +689,11 @@ func (c *Cache) readPurge(a word.Addr, area mem.Area) word.Word {
 // block exclusively when it is supplied by another cache, so that the
 // rewrite that immediately follows needs no invalidate bus command.
 func (c *Cache) ReadInvalidate(a word.Addr) word.Word {
-	area := c.countRef(a, OpRI)
+	area := c.areas.Of(a)
+	c.stats.Refs[area][OpRI]++
+	if c.probe != nil {
+		c.emitRef(a, OpRI)
+	}
 	return c.readInvalidate(a, area)
 }
 
@@ -694,7 +729,10 @@ func (c *Cache) readInvalidate(a word.Addr, area mem.Area) word.Word {
 // directory answers LH, ok is false: the caller must drop any locks it
 // holds and retry after the machine unblocks this PE on the UL broadcast.
 func (c *Cache) LockRead(a word.Addr) (word.Word, bool) {
-	c.countRef(a, OpLR)
+	c.stats.Refs[c.areas.Of(a)][OpLR]++
+	if c.probe != nil {
+		c.emitRef(a, OpLR)
+	}
 	return c.lockRead(a)
 }
 
@@ -780,14 +818,20 @@ func (c *Cache) beginBusyWait(a word.Addr) {
 // broadcast is issued only when another PE is waiting (LWAIT), which is
 // the bandwidth optimization Table 5's bottom row measures.
 func (c *Cache) UnlockWrite(a word.Addr, w word.Word) {
-	c.countRef(a, OpUW)
+	c.stats.Refs[c.areas.Of(a)][OpUW]++
+	if c.probe != nil {
+		c.emitRef(a, OpUW)
+	}
 	c.writeInternal(a, w, OpUW)
 	c.releaseLock(a)
 }
 
 // Unlock implements U: release without writing.
 func (c *Cache) Unlock(a word.Addr) {
-	c.countRef(a, OpU)
+	c.stats.Refs[c.areas.Of(a)][OpU]++
+	if c.probe != nil {
+		c.emitRef(a, OpU)
+	}
 	c.releaseLock(a)
 }
 

@@ -216,7 +216,7 @@ func (sh *Shared) readForwardableFunctor(a word.Addr) word.Word {
 // new address. Already-moved objects are recognized by the broken-heart
 // marker (a TagFree word, which never occurs in live heap data).
 func (sh *Shared) copyObject(a word.Addr, n int, owner *Engine) (word.Addr, error) {
-	if sh.bounds.AreaOf(a) != mem.AreaHeap {
+	if sh.Mem.AreaOf(a) != mem.AreaHeap {
 		return a, nil // instruction/goal/susp/comm pointers do not move
 	}
 	dst := sh.heapOwner(a, owner)

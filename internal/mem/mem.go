@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"pimcache/internal/kl1/word"
 )
@@ -93,7 +94,36 @@ func (l Layout) Bounds() Bounds {
 // TotalWords reports the size of the whole simulated address space.
 func (l Layout) TotalWords() int { return int(l.Bounds().End) }
 
-// AreaOf classifies an address.
+// maxTotalWords is the largest sum of area sizes whose Bounds fit in
+// word.Addr: End, one past the last word, must itself be an address.
+const maxTotalWords = math.MaxUint32 - reservedWords
+
+// Validate reports whether the layout's areas are non-negative and its
+// Bounds fit in word.Addr. A layout that fails it would wrap the
+// address space: its area bases would not be monotonic, and addresses
+// of a whole area would classify as AreaNone.
+func (l Layout) Validate() error {
+	sizes := [...]int{l.InstWords, l.HeapWords, l.GoalWords, l.SuspWords, l.CommWords}
+	var total uint64
+	for i, n := range sizes {
+		if n < 0 {
+			return fmt.Errorf("%s area has negative size %d", Area(i+1), n)
+		}
+		if uint64(n) > maxTotalWords {
+			return fmt.Errorf("%s area of %d words exceeds the 32-bit address space", Area(i+1), n)
+		}
+		total += uint64(n)
+	}
+	if total > maxTotalWords {
+		return fmt.Errorf("areas total %d words; after the %d reserved words their end exceeds the 32-bit address space",
+			total, reservedWords)
+	}
+	return nil
+}
+
+// AreaOf classifies an address with a compare chain. It is the
+// reference classification; AreaMap gives the same answer with one
+// table load.
 func (b Bounds) AreaOf(a word.Addr) Area {
 	switch {
 	case a < b.InstBase:
@@ -125,9 +155,9 @@ func (b Bounds) AreaOf(a word.Addr) Area {
 // the address space the default layouts reserve, so a machine costs
 // memory in proportion to what its program writes, not to its layout.
 type Memory struct {
-	pages  []*page // nil for a stats-only memory
-	size   int
-	bounds Bounds
+	pages []*page // nil for a stats-only memory
+	size  int
+	areas AreaMap
 }
 
 // pageShift fixes the page size at 4096 words (32 KB). It is a constant,
@@ -146,9 +176,9 @@ type page [pageWords]word.Word
 func New(l Layout) *Memory {
 	size := l.TotalWords()
 	return &Memory{
-		pages:  make([]*page, (size+pageWords-1)>>pageShift),
-		size:   size,
-		bounds: l.Bounds(),
+		pages: make([]*page, (size+pageWords-1)>>pageShift),
+		size:  size,
+		areas: NewAreaMap(l.Bounds()),
 	}
 }
 
@@ -160,17 +190,21 @@ func New(l Layout) *Memory {
 // a panic here means a data-plane gate is missing, not that the caller
 // should tolerate zeros.
 func NewStatsOnly(l Layout) *Memory {
-	return &Memory{size: l.TotalWords(), bounds: l.Bounds()}
+	return &Memory{size: l.TotalWords(), areas: NewAreaMap(l.Bounds())}
 }
 
 // StatsOnly reports whether this memory carries no word store.
 func (m *Memory) StatsOnly() bool { return m.pages == nil && m.size > 0 }
 
-// Bounds returns the area map.
-func (m *Memory) Bounds() Bounds { return m.bounds }
+// Bounds returns the area ranges.
+func (m *Memory) Bounds() Bounds { return m.areas.Bounds() }
+
+// Areas returns the area classification table, built once per memory.
+// Per-reference classifiers (the caches, the bus) keep a copy of it.
+func (m *Memory) Areas() AreaMap { return m.areas }
 
 // AreaOf classifies an address against this memory's layout.
-func (m *Memory) AreaOf(a word.Addr) Area { return m.bounds.AreaOf(a) }
+func (m *Memory) AreaOf(a word.Addr) Area { return m.areas.Of(a) }
 
 // Size reports the total number of words.
 func (m *Memory) Size() int { return m.size }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +26,40 @@ func TestLayoutBounds(t *testing.T) {
 	}
 	if l.TotalWords() != int(b.End) {
 		t.Errorf("TotalWords = %d, want %d", l.TotalWords(), b.End)
+	}
+}
+
+func TestLayoutValidate(t *testing.T) {
+	ok := []Layout{
+		{},
+		DefaultLayout(),
+		{InstWords: maxTotalWords},
+		{InstWords: maxTotalWords - 4, CommWords: 4},
+	}
+	for _, l := range ok {
+		if err := l.Validate(); err != nil {
+			t.Errorf("%+v: %v", l, err)
+		}
+		if b := l.Bounds(); b.End < b.CommBase || b.CommBase < b.InstBase {
+			t.Errorf("%+v passes Validate but its bounds %+v wrap", l, b)
+		}
+	}
+	bad := []Layout{
+		{HeapWords: -1},
+		{InstWords: maxTotalWords + 1},
+		{InstWords: maxTotalWords - 4, CommWords: 5},
+		{InstWords: 1 << 31, HeapWords: 1<<31 - 8},
+		{InstWords: math.MaxInt, HeapWords: math.MaxInt},
+	}
+	for _, l := range bad {
+		err := l.Validate()
+		if err == nil {
+			t.Errorf("%+v: Validate accepted it", l)
+			continue
+		}
+		if l.HeapWords >= 0 && !strings.Contains(err.Error(), "address space") {
+			t.Errorf("%+v: error %q does not mention the address space", l, err)
+		}
 	}
 }
 

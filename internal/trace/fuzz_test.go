@@ -39,6 +39,7 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(legacyV2(tr), uint64(0))
 	f.Add(poked(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[hdrOff:], 0) }), uint64(0))
 	f.Add(poked(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[hdrOff+4:], 0xFFFFFFFF) }), uint64(0))
+	f.Add(poked(valid, pokeWrappingLayout), uint64(0))
 	f.Add(poked(valid, func(b []byte) { b[ref0Off] = 9 }), n/2)
 	f.Add(poked(valid, func(b []byte) { b[ref0Off+1] = 0xEE }), uint64(1))
 	f.Add(poked(valid, func(b []byte) { binary.LittleEndian.PutUint64(b[hdrOff+24:], 1<<40) }), n+1)

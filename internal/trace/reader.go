@@ -70,16 +70,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if pes < 1 || pes > bus.MaxPEs {
 		return nil, fmt.Errorf("trace: header PE count %d outside [1, %d]", pes, bus.MaxPEs)
 	}
-	var total uint64
-	for off := 4; off <= 20; off += 4 {
-		total += uint64(binary.LittleEndian.Uint32(hdr[off:]))
-	}
-	if total > 1<<32 {
-		// Addresses are 32 bits on disk; a layout wider than the address
-		// space is corrupt (and would demand an absurd memory allocation
-		// at replay time).
-		return nil, fmt.Errorf("trace: header layout spans %d words, exceeding the 32-bit address space", total)
-	}
 	d.pes = pes
 	d.layout = mem.Layout{
 		InstWords: int(binary.LittleEndian.Uint32(hdr[4:])),
@@ -87,6 +77,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 		GoalWords: int(binary.LittleEndian.Uint32(hdr[12:])),
 		SuspWords: int(binary.LittleEndian.Uint32(hdr[16:])),
 		CommWords: int(binary.LittleEndian.Uint32(hdr[20:])),
+	}
+	if err := d.layout.Validate(); err != nil {
+		// Addresses are 32 bits on disk; a layout whose bounds wrap the
+		// address space is corrupt (its areas would misclassify, and it
+		// could demand an absurd memory allocation at replay time).
+		return nil, fmt.Errorf("trace: header layout: %w", err)
 	}
 	d.n = binary.LittleEndian.Uint64(hdr[24:])
 	d.buf = make([]byte, frameBytes+refBytes*refsPerChunk)

@@ -119,6 +119,36 @@ func TestReaderRejectsCorruptHeader(t *testing.T) {
 		}
 	})
 	readErr(t, "huge layout", hugeLayout, "address space")
+
+	readErr(t, "wrapping layout", poked(base, pokeWrappingLayout), "address space")
+}
+
+// pokeWrappingLayout writes a layout whose five areas total less than
+// 2^32 words but whose bounds, after the 16 reserved words, wrap the
+// address space: HeapBase lands at 2^31+16 but GoalBase = End = 8, so a
+// replay would classify every heap address as AreaNone.
+func pokeWrappingLayout(b []byte) {
+	binary.LittleEndian.PutUint32(b[hdrOff+4:], 1<<31)
+	binary.LittleEndian.PutUint32(b[hdrOff+8:], 1<<31-8)
+	for off := 12; off <= 20; off += 4 {
+		binary.LittleEndian.PutUint32(b[hdrOff+off:], 0)
+	}
+}
+
+// TestWriteRejectsWrappingLayout pins the writer side of the layout
+// check: a trace whose layout wraps the address space is refused before
+// a byte is written, so no stream the reader rejects is ever produced.
+func TestWriteRejectsWrappingLayout(t *testing.T) {
+	tr := smallTrace()
+	tr.Layout = mem.Layout{InstWords: 1 << 31, HeapWords: 1<<31 - 8}
+	var buf bytes.Buffer
+	err := tr.Write(&buf)
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: layout: ") || !strings.Contains(err.Error(), "address space") {
+		t.Fatalf("Write error %v, want a labeled address-space error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Write emitted %d bytes before failing", buf.Len())
+	}
 }
 
 // TestReaderRejectsCorruptRefs covers the per-reference validations: a

@@ -317,9 +317,12 @@ func encodeRef(buf []byte, ref *Ref) []byte {
 }
 
 // Write serializes the trace (format version 3: checksummed chunk
-// framing). It fails — rather than corrupt the stream — if any address
-// exceeds the 32-bit on-disk format.
+// framing). It fails — rather than corrupt the stream — if the layout's
+// bounds or any address exceed the 32-bit on-disk format.
 func (t *Trace) Write(w io.Writer) error {
+	if err := t.Layout.Validate(); err != nil {
+		return fmt.Errorf("trace: layout: %w", err)
+	}
 	if _, err := io.WriteString(w, magicV3); err != nil {
 		return err
 	}
